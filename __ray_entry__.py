@@ -30,6 +30,12 @@ from excelastic_ray.corpus import TRANSCRIPTS_SQL, transcripts_from_documents
 # Shared fixtures
 # ---------------------------------------------------------------------------
 
+#: the spreadsheet golden files (test.csv/.xlsx/.xls), committed beside
+#: the tests and written by tests/fixtures/make_fixtures.py
+FIXTURES_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "tests", "fixtures"
+)
+
 ENTRY_CONFIG = IndexConfig(
     turn_bits=12, convs_per_chunk_bits=4, num_shards=4, batch_size=2048,
     field_index_fields=("role", "tool"),
@@ -3749,19 +3755,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q_csv_ingest(sf_dir):
         # reference-fixture ingest parity (sf_dir unused: the golden
-        # input IS the reference's own test.csv)
+        # input IS the committed test.csv fixture)
         from excelastic_ray.sources.csv import read_csv_table
 
-        return read_csv_table(
-            "/root/reference/src/test/resources/test.csv"
-        )
+        return read_csv_table(f"{FIXTURES_DIR}/test.csv")
 
     def q_xlsx_ingest(sf_dir):
         from excelastic_ray.sources.xlsx import read_xlsx_table
 
-        return read_xlsx_table(
-            "/root/reference/src/test/resources/test.xlsx", offset=5
-        )
+        return read_xlsx_table(f"{FIXTURES_DIR}/test.xlsx", offset=5)
 
     def q_json_ingest(sf_dir):
         # NDJSON parity: the same rows as the reference's test.csv,
@@ -3771,7 +3773,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import json as _json
 
         path = "/tmp/excelastic_ray_json_fixture.ndjson"
-        with open("/root/reference/src/test/resources/test.csv") as f:
+        with open(f"{FIXTURES_DIR}/test.csv") as f:
             rows = list(_csv.DictReader(f))
         with open(path, "w") as f:
             for r in rows:
@@ -3783,9 +3785,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q_xls_ingest(sf_dir):
         from excelastic_ray.sources.xls import read_xls_table
 
-        return read_xls_table(
-            "/root/reference/src/test/resources/test.xls", offset=5
-        )
+        return read_xls_table(f"{FIXTURES_DIR}/test.xls", offset=5)
 
     def q_media_decode(sf_dir):
         media = _docs(sf_dir).map_batches(
@@ -9820,7 +9820,7 @@ ORDER BY day
 SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
 FROM events GROUP BY 1
 """,
-        # The spreadsheet golden fixtures are the reference's own 2-row
+        # The spreadsheet golden fixtures are the reference's 2-row
         # files (TestParser.java:117-166); their expected typed rows are
         # small enough to pin as VALUES literals, turning the parsers
         # from rows-only checks into full rows+schema+hash oracles.
@@ -9836,20 +9836,20 @@ SELECT * FROM (VALUES
     ('cell 7.1', 'cell 7.2', 'cell 7.3')
 ) AS t("Column 1", "Column 2", "Column 3")
 """,
-        "json_ingest": """
+        "json_ingest": f"""
 SELECT name,
        CAST(flag AS BOOLEAN) AS flag,
        CAST("integer" AS BIGINT) AS "integer",
        CAST("float" AS DOUBLE) AS "float"
-FROM read_csv('/root/reference/src/test/resources/test.csv',
+FROM read_csv('{FIXTURES_DIR}/test.csv',
               header=true, all_varchar=true)
 """,
-        "csv_ingest": """
+        "csv_ingest": f"""
 SELECT name,
        CAST(flag AS BOOLEAN) AS flag,
        CAST("integer" AS BIGINT) AS "integer",
        CAST("float" AS DOUBLE) AS "float"
-FROM read_csv('/root/reference/src/test/resources/test.csv',
+FROM read_csv('{FIXTURES_DIR}/test.csv',
               header=true, all_varchar=true)
 """,
         "redact": r"""

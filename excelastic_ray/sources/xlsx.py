@@ -24,8 +24,9 @@ Column typing: the reference emits heterogeneous per-cell JSON; Arrow
 columns are typed, so a column takes the narrowest type covering all
 its non-null cells (bool / int64 / float64), else string.
 
-Legacy ``.xls`` (BIFF) is registered but raises — POI's binary-format
-support has no stdlib equivalent (documented deviation).
+Legacy ``.xls`` (BIFF8) has its own stdlib reader, ``sources/xls.py``;
+the registry dispatches ``.xls`` there and it shares this module's cell
+semantics and column typing.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ import pytest
 from excelastic_ray import ingest
 from excelastic_ray.config import IndexConfig
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
 
 def test_pipeline_stages_pure():
     b = pa.table({"text": ["  mail me: a@b.co  now ", "", None, "keep"]})
@@ -90,7 +92,7 @@ def test_upload_with_unknown_pipeline_fails_cleanly(ray_session, tmp_path):
     base = f"http://127.0.0.1:{srv.port}"
     try:
         payload = open(
-            "/root/reference/src/test/resources/test.csv", "rb"
+            f"{FIXTURES}/test.csv", "rb"
         ).read()
         st, resp = _post_multipart(
             base + "/api/upload",

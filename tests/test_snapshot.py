@@ -26,6 +26,8 @@ from excelastic_ray.query.engine import QueryEngine
 
 CFG = IndexConfig(turn_bits=8, convs_per_chunk_bits=3, num_shards=2)
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
 
 def _build(root: str, name: str, seed: int, n_convs: int = 25) -> str:
     import ray.data as rd
@@ -214,7 +216,7 @@ def test_http_alias_and_snapshot_surface(ray_session, tmp_path):
 
         # uploads cannot target a multi-index alias (write-alias rule)
         payload = open(
-            "/root/reference/src/test/resources/test.csv", "rb"
+            f"{FIXTURES}/test.csv", "rb"
         ).read()
         import tests.test_web as tw
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 import urllib.request
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def _post_multipart(url: str, fields: dict[str, bytes],
@@ -51,7 +54,7 @@ def test_upload_import_status_search(ray_session, tmp_path):
         status, html = _get(base + "/")
         assert status == 200 and b"excelastic_ray" in html
 
-        payload = open("/root/reference/src/test/resources/test.csv", "rb").read()
+        payload = open(f"{FIXTURES}/test.csv", "rb").read()
         status, resp = _post_multipart(
             base + "/api/upload",
             {"index": b"csvtest", "options": b"clear", "offset": b"1"},
@@ -103,7 +106,7 @@ def test_index_lock_forces_default_index(ray_session, tmp_path):
     srv = ImportServer(str(tmp_path / "indexes3"), index_lock="locked").start()
     base = f"http://127.0.0.1:{srv.port}"
     try:
-        payload = open("/root/reference/src/test/resources/test.csv", "rb").read()
+        payload = open(f"{FIXTURES}/test.csv", "rb").read()
         status, resp = _post_multipart(
             base + "/api/upload",
             {"index": b"evil", "options": b"clear"},
@@ -176,7 +179,7 @@ def test_upload_xls_via_http(ray_session, tmp_path):
     srv = ImportServer(str(tmp_path / "indexes_xls")).start()
     base = f"http://127.0.0.1:{srv.port}"
     try:
-        payload = open("/root/reference/src/test/resources/test.xls", "rb").read()
+        payload = open(f"{FIXTURES}/test.xls", "rb").read()
         status, resp = _post_multipart(
             base + "/api/upload",
             {"index": b"xlstest", "options": b"clear", "offset": b"5"},
@@ -264,7 +267,7 @@ def test_websocket_progress_push(ray_session, tmp_path):
     srv = ImportServer(str(tmp_path / "wsidx")).start()
     base = f"http://127.0.0.1:{srv.port}"
     try:
-        payload = open("/root/reference/src/test/resources/test.csv", "rb").read()
+        payload = open(f"{FIXTURES}/test.csv", "rb").read()
         status, resp = _post_multipart(
             base + "/api/upload",
             {"index": b"wstest", "options": b"clear", "offset": b"1"},
@@ -320,7 +323,7 @@ def test_list_indices(ray_session, tmp_path):
     srv = ImportServer(str(tmp_path / "multi")).start()
     base = f"http://127.0.0.1:{srv.port}"
     try:
-        payload = open("/root/reference/src/test/resources/test.csv", "rb").read()
+        payload = open(f"{FIXTURES}/test.csv", "rb").read()
         for name in (b"alpha", b"beta"):
             status, resp = _post_multipart(
                 base + "/api/upload",
@@ -549,7 +552,7 @@ def test_doc_crud_endpoints(ray_session, tmp_path):
     base = f"http://127.0.0.1:{srv.port}"
     try:
         payload = open(
-            "/root/reference/src/test/resources/test.csv", "rb"
+            f"{FIXTURES}/test.csv", "rb"
         ).read()
         status, resp = _post_multipart(
             base + "/api/upload",
@@ -620,7 +623,7 @@ def test_doc_update_endpoint(ray_session, tmp_path):
     base = f"http://127.0.0.1:{srv.port}"
     try:
         payload = open(
-            "/root/reference/src/test/resources/test.csv", "rb"
+            f"{FIXTURES}/test.csv", "rb"
         ).read()
         status, resp = _post_multipart(
             base + "/api/upload",
@@ -750,7 +753,7 @@ def test_index_templates_apply_on_creation(ray_session, tmp_path):
 
     def upload(index, extra=None):
         payload = open(
-            "/root/reference/src/test/resources/test.csv", "rb"
+            f"{FIXTURES}/test.csv", "rb"
         ).read()
         fields = {"index": index.encode(), "options": b"add",
                   "offset": b"1"}
@@ -1002,7 +1005,7 @@ def test_rollover_api(ray_session, tmp_path):
         )
         urllib.request.urlopen(req).read()
         payload = open(
-            "/root/reference/src/test/resources/test.csv", "rb"
+            f"{FIXTURES}/test.csv", "rb"
         ).read()
         _, resp = _post_multipart(
             base + "/api/upload",

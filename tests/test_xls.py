@@ -1,10 +1,14 @@
-"""Legacy .xls (BIFF8) source tests: the reference's own golden fixture
-(/root/reference/src/test/resources/test.xls, pinned by TestParser.java's
-getItemCount/typing semantics) plus a handwritten CFB+BIFF8 workbook
-exercising every cell record type the reader supports."""
+"""Legacy .xls (BIFF8) source tests: the golden fixture
+``tests/fixtures/test.xls`` (the reference's ``test.xls``, pinned by
+TestParser.java's getItemCount/typing semantics) plus a handwritten
+CFB+BIFF8 workbook exercising every cell record type the reader supports.
+
+The fixture is a reconstruction of the reference file from its documented
+contents; regenerate it with ``python tests/fixtures/make_fixtures.py``."""
 
 from __future__ import annotations
 
+import os
 import struct
 
 import pyarrow as pa
@@ -12,7 +16,7 @@ import pytest
 
 from excelastic_ray.sources.xls import ParserError, read_xls_table
 
-FIXTURES = "/root/reference/src/test/resources"
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def test_golden_xls_offset_title_row():

@@ -1,14 +1,20 @@
-"""XLSX source parity vs the reference's own golden fixtures
-(/root/reference/src/test/resources, asserted per TestParser.java)."""
+"""XLSX source parity vs the reference's golden fixtures (``test.xlsx``,
+``invalid.xlsx``, ``test.csv``, asserted per TestParser.java).
+
+The fixtures live in ``tests/fixtures/``: reconstructions of the
+reference files from their documented contents, regenerated with
+``python tests/fixtures/make_fixtures.py``."""
 
 from __future__ import annotations
+
+import os
 
 import pyarrow as pa
 import pytest
 
 from excelastic_ray.sources.xlsx import ParserError, read_xlsx_table
 
-FIXTURES = "/root/reference/src/test/resources"
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def test_golden_xlsx_offset_title_row():
