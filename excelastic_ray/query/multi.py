@@ -30,15 +30,24 @@ import os
 import numpy as np
 
 from excelastic_ray.analysis import query_terms
-from excelastic_ray.query.engine import QueryEngine, ShardSearcher, idf
+from excelastic_ray.query.engine import (
+    QueryEngine,
+    ShardSearcher,
+    admission,
+    admit_one_at_a_time,
+    idf,
+)
 
 
+@admit_one_at_a_time
 class MultiIndexEngine:
-    """Search over a list of index directories as one logical index."""
+    """Search over a list of index directories as one logical index.
+    Admits one query at a time per process, like ``QueryEngine``."""
 
     def __init__(self, index_dirs: list[str], use_actors: bool = False):
         if not index_dirs:
             raise ValueError("need at least one index directory")
+        self._admission = admission(use_actors)
         self.engines = [QueryEngine(d, use_actors=use_actors)
                         for d in index_dirs]
         self.names = [os.path.basename(os.path.normpath(d))

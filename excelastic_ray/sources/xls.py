@@ -60,6 +60,12 @@ def _cfb_stream(data: bytes, name_candidates: tuple[str, ...]) -> bytes:
         raise ParserError("not an OLE2 compound file (bad magic)")
     sect_shift = struct.unpack_from("<H", data, 30)[0]
     mini_shift = struct.unpack_from("<H", data, 32)[0]
+    # MS-CFB 2.2: 512- or 4096-byte sectors, 64-byte mini sectors
+    if sect_shift not in (9, 12) or mini_shift != 6:
+        raise ParserError(
+            f"bad CFB header: sector shift {sect_shift}, "
+            f"mini sector shift {mini_shift}"
+        )
     sect_size = 1 << sect_shift
     mini_size = 1 << mini_shift
     first_dir = struct.unpack_from("<i", data, 48)[0]

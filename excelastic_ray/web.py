@@ -1647,7 +1647,11 @@ class ImportServer:
         with self._async_guard:
             self._async[sid] = rec
             while len(self._async) > self._async_cap:
-                self._async.pop(next(iter(self._async)))
+                # oldest completed context first; a running one only
+                # when every stored search is still running
+                old = next((k for k, r in self._async.items()
+                            if not r["is_running"]), next(iter(self._async)))
+                self._async.pop(old)
 
         def run() -> None:
             try:

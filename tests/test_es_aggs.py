@@ -4,6 +4,8 @@ pandas oracle."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -1275,7 +1277,10 @@ def test_agg_tree_fanout_quantile_metrics_hand_computed(ray_session):
         },
         "gq": {"percentiles": {"field": "v", "percents": [50]}},
     }
+    before = json.dumps(spec)
     out = agg_tree_fanout(rd.from_arrow(t), spec).to_pandas()
+    # the caller's spec is only read: its int percents stay ints
+    assert json.dumps(spec) == before
     bk = out[out["agg"] == "by_kind"].set_index("by_kind_key")
     # a: sorted [1, 2, 2, 10]; p0 = 1; p50: pos 1.5 → 2; p75: pos
     # 2.25 → 2 + 0.25·(10−2) = 4; p100 = 10

@@ -7,6 +7,8 @@ import os
 import time
 import urllib.request
 
+import pytest
+
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
@@ -1363,3 +1365,52 @@ def test_async_search_endpoints(ray_session, tmp_path):
         assert code == 404
     finally:
         srv.stop()
+
+
+def test_async_search_cap_evicts_completed_before_running(tmp_path):
+    """Past the async-search cap the oldest COMPLETED context goes; a
+    still-running search is evicted only when no completed one is
+    stored, so a poller of a live search does not get a 404."""
+    import threading
+
+    from excelastic_ray.web import ImportServer
+
+    srv = ImportServer(str(tmp_path / "root"))
+    srv._async_cap = 2
+    gates = {q: threading.Event() for q in ("slow", "slow2", "slow3")}
+
+    def search(index, query):
+        if query in gates:
+            assert gates[query].wait(10)
+        return {"hits": [query]}
+
+    srv.search = search
+
+    def submit(q: str) -> str:
+        return srv.async_search_submit("a", {"q": q})["id"]
+
+    def done(sid: str) -> dict:
+        for _ in range(200):
+            got = srv.async_search_get(sid)
+            if not got["is_running"]:
+                return got
+            time.sleep(0.01)
+        raise AssertionError(f"async search {sid} never completed")
+
+    slow = submit("slow")
+    fast = submit("fast")
+    done(fast)
+    fast2 = submit("fast2")  # over the cap: the completed "fast" goes
+    assert srv.async_search_get(slow)["is_running"] is True
+    with pytest.raises(KeyError):
+        srv.async_search_get(fast)
+    done(fast2)
+    submit("slow2")  # over the cap again: the completed "fast2" goes
+    with pytest.raises(KeyError):
+        srv.async_search_get(fast2)
+    # only running contexts left: the oldest running one goes
+    submit("slow3")
+    with pytest.raises(KeyError):
+        srv.async_search_get(slow)
+    for g in gates.values():
+        g.set()

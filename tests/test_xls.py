@@ -207,6 +207,20 @@ def test_xls_corruption_fuzz():
         # any other exception type fails the test
 
 
+@pytest.mark.parametrize("offset,shift", [
+    (30, 0xFFFF),  # sector shift: 1 << 65535 once escaped as ValueError
+    (30, 10),      # sector shift outside MS-CFB's 9 / 12
+    (32, 7),       # mini sector shift other than 6
+])
+def test_bad_cfb_shift_raises_parser_error(tmp_path, offset, shift):
+    data = bytearray(open(f"{FIXTURES}/test.xls", "rb").read())
+    struct.pack_into("<H", data, offset, shift)
+    p = tmp_path / "bad_shift.xls"
+    p.write_bytes(bytes(data))
+    with pytest.raises(ParserError, match="bad CFB header"):
+        read_xls_table(str(p), offset=5)
+
+
 _tmpdir = None
 
 
