@@ -1102,7 +1102,10 @@ def _chunk_phase(
         # tasks — a deadlock observed in the test suite at 4 CPUs.
         # min=1 guarantees forward progress at any concurrency.
         concurrency=(1, pool),
-        num_cpus=1,
+        # On a one-CPU cluster a stamp actor holding the only CPU would
+        # leave the read tasks that feed it waiting forever: there it
+        # reserves none.
+        num_cpus=1 if cpus >= 2 else 0,
         # no in-place actor restarts: Ray Data's pool replaces dead
         # actors and retries their tasks, and the ctor args it stores in
         # the object store make in-place restarts unreliable anyway
@@ -1432,8 +1435,11 @@ def _windowed_task_stream(chunk_iter, submit, window: int | None = None):
     stream: at most ``window`` (default 4x cluster CPUs) ranged chunk
     tasks are in flight at once, refilled as results drain — at 10^6
     chunks the driver never holds 10^6 pending futures, just a
-    cluster-width window plus an iterator. Cancels the window on error
-    (the missort-fallback path)."""
+    cluster-width window plus an iterator. On error (the
+    missort-fallback path) it waits for the window to finish rather
+    than cancel it: ``ray.cancel`` racing a finishing task can abort
+    this process's Ray core worker ("Tried to complete task that was
+    not pending")."""
     import ray
 
     if window is None:
@@ -1449,8 +1455,8 @@ def _windowed_task_stream(chunk_iter, submit, window: int | None = None):
             done, inflight = ray.wait(inflight, num_returns=1)
             yield pd.DataFrame([ray.get(done[0])])
     except BaseException:
-        for r in inflight:
-            ray.cancel(r, force=False)
+        if inflight:
+            ray.wait(inflight, num_returns=len(inflight))
         raise
 
 
@@ -1548,10 +1554,11 @@ def _overlapped_chunk_merge(
                         _launch(s)
     except BaseException:
         # a failing chunk stream (e.g. the ranged phase detecting a
-        # missorted source) must not leak merge tasks — cancel and let
-        # the caller fall back; shard merges are atomic + idempotent
-        for r in inflight:
-            ray.cancel(r, force=False)
+        # missorted source) must not leave merge tasks running behind
+        # the caller's fallback: wait for them (not ray.cancel, see
+        # _windowed_task_stream); shard merges are atomic + idempotent
+        if inflight:
+            ray.wait(inflight, num_returns=len(inflight))
         raise
     t_last_chunk = time.monotonic()
     still = [s for s, p in pending.items() if p and shard_chunks[s]]

@@ -3857,10 +3857,13 @@ def admit_one_at_a_time(cls):
 class QueryEngine:
     """Top-level query API over a built index.
 
-    ``use_actors=True`` serves each shard from a dedicated Ray actor
-    (fixed pool, one per shard — postings stay resident in the actor;
-    the multi-node serving shape). Default is in-process shard
-    searchers, which is faster single-node (no RPC per query).
+    ``use_actors=True`` serves the shards from a fixed pool of
+    ``min(num_shards, CPUs - 1)`` Ray actors, each holding a contiguous
+    group of shards whose postings stay resident in the actor (the
+    multi-node serving shape). Default is in-process shard searchers,
+    which is faster single-node (no RPC per query). Either way every
+    per-shard call goes through :meth:`_scatter`, the one dispatch
+    point, and every merge runs here in the driver.
 
     In-process engines admit one call at a time per process: every
     public method holds one process-wide reentrant lock, across all
@@ -3902,19 +3905,38 @@ class QueryEngine:
             import ray
 
             # Fixed pool sized to the cluster: each actor serves a
-            # contiguous group of shards and merges locally, so the pool
-            # never demands more CPUs than exist (16 shards on an 8-CPU
-            # node = 8 actors x 2 shards).
+            # contiguous group of shards, so the pool never demands more
+            # CPUs than exist (16 shards on an 8-CPU node = 8 actors x 2
+            # shards) and the groups concatenate back into shard order.
+            r = self.reader
             cpus = max(1, int(ray.cluster_resources().get("CPU", 1)) - 1)
-            n_actors = max(1, min(self.reader.num_shards, cpus))
-            groups: list[list[str]] = [[] for _ in range(n_actors)]
-            for s in range(self.reader.num_shards):
-                groups[s % n_actors].append(self.reader.shard_path(s))
+            n_actors = max(1, min(r.num_shards, cpus))
             actor_cls = ray.remote(num_cpus=1)(ShardActor)
             self._actors = [
-                actor_cls.remote(paths, self.reader.cfg.to_dict())
-                for paths in groups
+                actor_cls.remote([r.shard_path(s) for s in group.tolist()],
+                                 r.cfg.to_dict())
+                for group in np.array_split(np.arange(r.num_shards),
+                                            n_actors)
             ]
+
+    def _scatter(self, name: str, *args, **kw) -> list:
+        """The one dispatch point of the query path: runs
+        ``ShardSearcher.<name>(*args, **kw)`` on every shard and returns
+        one result per shard, in shard order; the caller reduces. In
+        process the reader opens each shard lazily on first use; with
+        actors, each actor answers for its contiguous shard group and
+        the groups flatten back into shard order, so every reduce sees
+        the same list in both modes."""
+        if self._actors is None:
+            r = self.reader
+            return [getattr(r.searcher(s), name)(*args, **kw)
+                    for s in range(r.num_shards)]
+        import ray
+
+        groups = ray.get(
+            [a.call.remote(name, *args, **kw) for a in self._actors]
+        )
+        return [part for group in groups for part in group]
 
     # -- core ------------------------------------------------------------
 
@@ -3924,15 +3946,7 @@ class QueryEngine:
         repeated term costs zero RPC rounds."""
         missing = [t for t in terms if t not in self._df_cache]
         if missing:
-            r = self.reader
-            if self._actors is not None:
-                import ray
-
-                per_shard = ray.get([a.dfs.remote(missing) for a in self._actors])
-            else:
-                per_shard = [
-                    r.searcher(s).dfs(missing) for s in range(r.num_shards)
-                ]
+            per_shard = self._scatter("dfs", missing)
             totals = np.asarray(per_shard, dtype=np.int64).sum(axis=0)
             self._df_cache.update(zip(missing, totals.tolist()))
         return np.asarray([self._df_cache[t] for t in terms], dtype=np.int64)
@@ -4023,26 +4037,10 @@ class QueryEngine:
                 idfs = [idf(r.n_docs, d) for _, d in live]
                 depth = k if search_after is not None else offset + k
                 algo = "taat" if search_after is not None else self.algo
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.topk.remote(
-                                lterms, idfs, r.avgdl, depth, algo,
-                                filters, n_required, search_after,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).topk(
-                            lterms, idfs, r.avgdl, depth, algo, filters,
-                            n_required, search_after,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "topk", lterms, idfs, r.avgdl, depth, algo, filters,
+                    n_required, search_after,
+                )
                 docids, scores = _merge_shard_topk(parts, depth)
                 if min_score is not None:
                     keep = scores >= min_score
@@ -4225,24 +4223,10 @@ class QueryEngine:
             if entries:
                 avgdls = self._field_avgdls()
                 depth = offset + k
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.topk_fields.remote(entries, avgdls, depth,
-                                                 filters, combine,
-                                                 tie_breaker)
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).topk_fields(entries, avgdls, depth,
-                                                  filters, combine,
-                                                  tie_breaker)
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "topk_fields", entries, avgdls, depth, filters, combine,
+                    tie_breaker,
+                )
                 docids, scores = _merge_shard_topk(parts, depth)
                 docids, scores = docids[offset:], scores[offset:]
         return self._result_table(docids, scores, offset)
@@ -4338,17 +4322,7 @@ class QueryEngine:
         scores = np.zeros(0, dtype=np.float64)
         if groups and r.n_docs:
             key_groups = [[kk for kk, _ in g] for g in groups]
-            if self._actors is not None:
-                import ray
-
-                per_shard = ray.get(
-                    [a.df_union.remote(key_groups) for a in self._actors]
-                )
-            else:
-                per_shard = [
-                    r.searcher(s).df_union(key_groups)
-                    for s in range(r.num_shards)
-                ]
+            per_shard = self._scatter("df_union", key_groups)
             dfs = np.asarray(per_shard, dtype=np.int64).sum(axis=0)
             live = [
                 (g, idf(r.n_docs, int(d)))
@@ -4359,21 +4333,9 @@ class QueryEngine:
                 avgdl_comb = sum(w * avgdls[f] for f, w in fnorm_w)
                 lg = [g for g, _ in live]
                 li = [i_ for _, i_ in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [a.topk_combined.remote(lg, li, fnorm_w,
-                                                avgdl_comb, k, filters)
-                         for a in self._actors]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).topk_combined(lg, li, fnorm_w,
-                                                    avgdl_comb, k,
-                                                    filters)
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "topk_combined", lg, li, fnorm_w, avgdl_comb, k, filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -4428,20 +4390,9 @@ class QueryEngine:
                     idfs.append(idf(r.n_docs, int(d)))
             if live:
                 avgdls = self._field_avgdls()
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [a.topk_cross.remote(live, idfs, avgdls, k,
-                                             filters)
-                         for a in self._actors]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).topk_cross(live, idfs, avgdls, k,
-                                                 filters)
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "topk_cross", live, idfs, avgdls, k, filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -4560,19 +4511,9 @@ class QueryEngine:
         expansion rule). Deterministic: the cap keeps the
         lexicographically FIRST terms. ``field`` scopes the expansion to
         that field's own dictionary region."""
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [a.terms_with_prefix.remote(prefix, max_expansions, field)
-                 for a in self._actors]
-            )
-        else:
-            parts = [
-                r.searcher(s).terms_with_prefix(prefix, max_expansions, field)
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter(
+            "terms_with_prefix", prefix, max_expansions, field,
+        )
         out: set[str] = set()
         for p in parts:
             out.update(p)
@@ -4616,19 +4557,7 @@ class QueryEngine:
         matches, sorted, capped at ``max_expansions`` — deterministic
         (the lexicographically FIRST matches win the cap, mirroring
         expand_prefix)."""
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [a.terms_matching.remote(pattern, max_expansions, field)
-                 for a in self._actors]
-            )
-        else:
-            parts = [
-                r.searcher(s).terms_matching(pattern, max_expansions, field)
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter("terms_matching", pattern, max_expansions, field)
         out: set[str] = set()
         for p in parts:
             out.update(p)
@@ -4671,19 +4600,7 @@ class QueryEngine:
         """Global regexp expansion: union of per-shard anchored-match
         dictionary scans, sorted, capped — lexicographically first
         matches win the cap (mirrors expand_wildcard)."""
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [a.terms_regexp.remote(pattern, max_expansions, field)
-                 for a in self._actors]
-            )
-        else:
-            parts = [
-                r.searcher(s).terms_regexp(pattern, max_expansions, field)
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter("terms_regexp", pattern, max_expansions, field)
         out: set[str] = set()
         for p in parts:
             out.update(p)
@@ -4961,20 +4878,9 @@ class QueryEngine:
         for pterms, pslop, pmode in sorted(phrases):
             if not pterms:
                 continue
-            if self._actors is not None:
-                import ray
-
-                counts = ray.get(
-                    [a.phrase_count.remote(list(pterms), pslop, None,
-                                           pmode)
-                     for a in self._actors]
-                )
-            else:
-                counts = [
-                    r.searcher(s).phrase_count(list(pterms), pslop,
-                                               None, pmode)
-                    for s in range(r.num_shards)
-                ]
+            counts = self._scatter(
+                "phrase_count", list(pterms), pslop, None, pmode,
+            )
             dfp = int(sum(counts))
             if dfp:
                 phrase_idf[(pterms, pslop, pmode)] = idf(r.n_docs, dfp)
@@ -5115,18 +5021,7 @@ class QueryEngine:
         tree = build(query)
         if tree["op"] == "none":
             return empty
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [a.dsl_topk.remote(tree, r.avgdl, k, filters)
-                 for a in self._actors]
-            )
-        else:
-            parts = [
-                r.searcher(s).dsl_topk(tree, r.avgdl, k, filters)
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter("dsl_topk", tree, r.avgdl, k, filters)
         docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -5201,26 +5096,10 @@ class QueryEngine:
         should_flags = [t in sset for t in live]
         mnot = [t for t in n_terms if t not in self._df_cache
                 or self._df_cache[t] != 0]
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [
-                    a.bool_topk.remote(
-                        live, idfs, must_flags, should_flags, mnot,
-                        r.avgdl, k, filters, n_must, msm,
-                    )
-                    for a in self._actors
-                ]
-            )
-        else:
-            parts = [
-                r.searcher(s).bool_topk(
-                    live, idfs, must_flags, should_flags, mnot,
-                    r.avgdl, k, filters, n_must, msm,
-                )
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter(
+            "bool_topk", live, idfs, must_flags, should_flags, mnot, r.avgdl,
+            k, filters, n_must, msm,
+        )
         docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -5248,19 +5127,9 @@ class QueryEngine:
         """Union of per-shard Levenshtein candidates → {term: distance}
         (min distance across shards; the metric is shard-invariant, so
         min is just dedup)."""
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [a.fuzzy_candidates.remote(term, max_edits, prefix_length)
-                 for a in self._actors]
-            )
-        else:
-            parts = [
-                r.searcher(s).fuzzy_candidates(term, max_edits, prefix_length)
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter(
+            "fuzzy_candidates", term, max_edits, prefix_length,
+        )
         best: dict[str, int] = {}
         for p in parts:
             for t, d in p:
@@ -5328,15 +5197,7 @@ class QueryEngine:
             cache = self._ctf_cache = {}
         missing = [t for t in terms if t not in cache]
         if missing:
-            r = self.reader
-            if self._actors is not None:
-                import ray
-
-                per = ray.get([a.ctfs.remote(missing)
-                               for a in self._actors])
-            else:
-                per = [r.searcher(s).ctfs(missing)
-                       for s in range(r.num_shards)]
+            per = self._scatter("ctfs", missing)
             totals = np.asarray(per, dtype=np.int64).sum(axis=0)
             cache.update(zip(missing, totals.tolist()))
         return np.asarray([cache[t] for t in terms], dtype=np.int64)
@@ -5345,15 +5206,7 @@ class QueryEngine:
         """Global adjacent-bigram occurrence count per (a, b) pair."""
         if not pairs:
             return np.zeros(0, dtype=np.int64)
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            per = ray.get([a.adj_counts.remote(pairs)
-                           for a in self._actors])
-        else:
-            per = [r.searcher(s).adj_counts(pairs)
-                   for s in range(r.num_shards)]
+        per = self._scatter("adj_counts", pairs)
         return np.asarray(per, dtype=np.int64).sum(axis=0)
 
     def suggest_phrase(self, text: str, max_edits: int = 2,
@@ -5506,7 +5359,6 @@ class QueryEngine:
 
         from excelastic_ray.analysis import tokenize
 
-        r = self.reader
         toks = tokenize(prefix)
         out_empty = pa.table(
             {
@@ -5539,10 +5391,8 @@ class QueryEngine:
         factorize + bincount (np.unique comparison-sorts PyObjects,
         ~12x slower on wide prefixes; a pandas groupby cost ~3x) — no
         per-term dictionary lookups anywhere on this path."""
-        r = self.reader
         parts_t, parts_d = [], []
-        for s in range(r.num_shards):
-            t_arr, d_arr = r.searcher(s).prefix_dfs(p)
+        for t_arr, d_arr in self._scatter("prefix_dfs", p):
             if max_candidates is not None:
                 t_arr, d_arr = (t_arr[:max_candidates],
                                 d_arr[:max_candidates])
@@ -5596,11 +5446,10 @@ class QueryEngine:
             if search_after is not None:
                 search_after = search_after.lower()
         size = max(0, int(size))
-        r = self.reader
         merged: set = set()
-        for s in range(r.num_shards):
-            merged.update(r.searcher(s).terms_enum_scan(
-                string, size, after=search_after, field=field))
+        for part in self._scatter("terms_enum_scan", string, size,
+                                  after=search_after, field=field):
+            merged.update(part)
         terms = sorted(merged)[:size]
         return pa.table({"term": pa.array(terms, type=pa.string())})
 
@@ -5782,22 +5631,9 @@ class QueryEngine:
             if live:
                 lgroups = [g for g, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get([
-                        a.topk_synonyms.remote(
-                            lgroups, idfs, r.avgdl, k, filters
-                        )
-                        for a in self._actors
-                    ])
-                else:
-                    parts = [
-                        r.searcher(s).topk_synonyms(
-                            lgroups, idfs, r.avgdl, k, filters
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "topk_synonyms", lgroups, idfs, r.avgdl, k, filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -5923,17 +5759,7 @@ class QueryEngine:
         if not cand or not r.n_docs:
             return empty
         probe = np.unique(np.asarray(cand, dtype=np.int64))
-        if self._actors is not None:
-            import ray
-
-            masks = ray.get(
-                [a.contains_docids.remote(probe) for a in self._actors]
-            )
-        else:
-            masks = [
-                r.searcher(s).contains_docids(probe)
-                for s in range(r.num_shards)
-            ]
+        masks = self._scatter("contains_docids", probe)
         exists = np.zeros(len(probe), dtype=bool)
         for m in masks:
             exists |= m
@@ -6000,26 +5826,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.collapse_topk.remote(
-                                lterms, idfs, r.avgdl, attr, k, filters,
-                                n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).collapse_topk(
-                            lterms, idfs, r.avgdl, attr, k, filters,
-                            n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "collapse_topk", lterms, idfs, r.avgdl, attr, k, filters,
+                    n_required,
+                )
                 bd, bs, bg = _merge_collapse(parts, k)
         conv, turn = r.keys_of(bd)
         return pa.table(
@@ -6082,28 +5892,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.has_child_topk.remote(
-                                lterms, idfs, r.avgdl, k, score_mode,
-                                min_children, max_children, filters,
-                                n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).has_child_topk(
-                            lterms, idfs, r.avgdl, k, score_mode,
-                            min_children, max_children, filters,
-                            n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "has_child_topk", lterms, idfs, r.avgdl, k, score_mode,
+                    min_children, max_children, filters, n_required,
+                )
                 keys, scores, counts = _merge_has_child(parts, k)
         parent = pa.table(
             {
@@ -6125,26 +5917,10 @@ class QueryEngine:
             ).append_column(
                 "child_rank", pa.array([], type=pa.int32())
             )
-        if self._actors is not None:
-            import ray
-
-            hparts = ray.get(
-                [
-                    a.child_hits_for_convs.remote(
-                        lterms, idfs, r.avgdl, keys, inner_hits,
-                        filters, n_required,
-                    )
-                    for a in self._actors
-                ]
-            )
-        else:
-            hparts = [
-                r.searcher(s).child_hits_for_convs(
-                    lterms, idfs, r.avgdl, keys, inner_hits,
-                    filters, n_required,
-                )
-                for s in range(r.num_shards)
-            ]
+        hparts = self._scatter(
+            "child_hits_for_convs", lterms, idfs, r.avgdl, keys, inner_hits,
+            filters, n_required,
+        )
         hconvs = np.concatenate([p[0] for p in hparts])
         hdocs = np.concatenate([p[1] for p in hparts])
         hscores = np.concatenate([p[2] for p in hparts])
@@ -6213,42 +5989,16 @@ class QueryEngine:
         idfs = [idf(r.n_docs, d) for _, d in live]
 
         def _parents(depth):
-            if self._actors is not None:
-                import ray
-
-                parts = ray.get(
-                    [
-                        a.has_parent_topk.remote(
-                            lterms, idfs, r.avgdl, depth, filters,
-                            n_required, score,
-                        )
-                        for a in self._actors
-                    ]
-                )
-            else:
-                parts = [
-                    r.searcher(s).has_parent_topk(
-                        lterms, idfs, r.avgdl, depth, filters,
-                        n_required, score,
-                    )
-                    for s in range(r.num_shards)
-                ]
+            parts = self._scatter(
+                "has_parent_topk", lterms, idfs, r.avgdl, depth, filters,
+                n_required, score,
+            )
             merged = _merge_shard_topk(parts, depth)
             exhausted = all(len(p[0]) < depth for p in parts)
             return merged, exhausted
 
         def _children(keys):
-            if self._actors is not None:
-                import ray
-
-                kids = ray.get(
-                    [a.children_of.remote(keys) for a in self._actors]
-                )
-            else:
-                kids = [
-                    r.searcher(s).children_of(keys)
-                    for s in range(r.num_shards)
-                ]
+            kids = self._scatter("children_of", keys)
             return np.concatenate(kids) if kids else empty_ids
 
         depth = k
@@ -6309,22 +6059,9 @@ class QueryEngine:
                 if grp:
                     groups.append(grp)
         if groups:
-            if self._actors is not None:
-                import ray
-
-                parts = ray.get(
-                    [
-                        a.dismax_topk.remote(groups, r.avgdl, k,
-                                             tie_breaker, filters)
-                        for a in self._actors
-                    ]
-                )
-            else:
-                parts = [
-                    r.searcher(s).dismax_topk(groups, r.avgdl, k,
-                                              tie_breaker, filters)
-                    for s in range(r.num_shards)
-                ]
+            parts = self._scatter(
+                "dismax_topk", groups, r.avgdl, k, tie_breaker, filters,
+            )
             docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -6355,27 +6092,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.rank_feature_topk.remote(
-                                lterms, idfs, r.avgdl, k, function,
-                                pivot, boost, scale, exponent, filters,
-                                n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).rank_feature_topk(
-                            lterms, idfs, r.avgdl, k, function, pivot,
-                            boost, scale, exponent, filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "rank_feature_topk", lterms, idfs, r.avgdl, k, function,
+                    pivot, boost, scale, exponent, filters, n_required,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -6398,24 +6118,9 @@ class QueryEngine:
             if live:
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.terms_set_topk.remote(
-                                lterms, idfs, r.avgdl, k, filters
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).terms_set_topk(
-                            lterms, idfs, r.avgdl, k, filters
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "terms_set_topk", lterms, idfs, r.avgdl, k, filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -6455,26 +6160,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.script_score_topk.remote(
-                                lterms, idfs, r.avgdl, k, script, params,
-                                filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).script_score_topk(
-                            lterms, idfs, r.avgdl, k, script, params,
-                            filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "script_score_topk", lterms, idfs, r.avgdl, k, script,
+                    params, filters, n_required,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -6521,26 +6210,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.script_filter_topk.remote(
-                                lterms, idfs, r.avgdl, k, script, params,
-                                filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).script_filter_topk(
-                            lterms, idfs, r.avgdl, k, script, params,
-                            filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "script_filter_topk", lterms, idfs, r.avgdl, k, script,
+                    params, filters, n_required,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -6603,26 +6276,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.script_fields_topk.remote(
-                                lterms, idfs, r.avgdl, k, fields, params,
-                                filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).script_fields_topk(
-                            lterms, idfs, r.avgdl, k, fields, params,
-                            filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "script_fields_topk", lterms, idfs, r.avgdl, k, fields,
+                    params, filters, n_required,
+                )
                 docids, scores, cols = _merge_script_fields(parts, k)
         out = self._result_table(docids, scores)
         for name in fields:
@@ -6660,26 +6317,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.sampler_agg.remote(
-                                lterms, idfs, r.avgdl, shard_size, attr,
-                                max_per_conv, filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).sampler_agg(
-                            lterms, idfs, r.avgdl, shard_size, attr,
-                            max_per_conv, filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "sampler_agg", lterms, idfs, r.avgdl, shard_size, attr,
+                    max_per_conv, filters, n_required,
+                )
                 for p in parts:
                     for v, c in p.items():
                         counts[v] = counts.get(v, 0) + c
@@ -6714,26 +6355,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.boosting_topk.remote(
-                                lterms, idfs, r.avgdl, k, neg_terms,
-                                negative_boost, filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).boosting_topk(
-                            lterms, idfs, r.avgdl, k, neg_terms,
-                            negative_boost, filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "boosting_topk", lterms, idfs, r.avgdl, k, neg_terms,
+                    negative_boost, filters, n_required,
+                )
                 bd, bs = _merge_shard_topk(parts, k)
         return self._result_table(bd, bs)
 
@@ -6765,42 +6390,13 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    counts = ray.get(
-                        [a.phrase_count.remote(p_terms, slop, None)
-                         for a in self._actors]
-                    )
-                    df_p = int(sum(counts))
-                    p_idf = idf(r.n_docs, df_p) if df_p else 0.0
-                    parts = ray.get(
-                        [
-                            a.rescore_topk.remote(
-                                lterms, idfs, r.avgdl, k, window_size,
-                                p_terms, p_idf, slop, query_weight,
-                                rescore_weight, filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    searchers = [
-                        r.searcher(s) for s in range(r.num_shards)
-                    ]
-                    df_p = sum(
-                        s.phrase_count(p_terms, slop, None)
-                        for s in searchers
-                    )
-                    p_idf = idf(r.n_docs, df_p) if df_p else 0.0
-                    parts = [
-                        s.rescore_topk(
-                            lterms, idfs, r.avgdl, k, window_size,
-                            p_terms, p_idf, slop, query_weight,
-                            rescore_weight, filters, n_required,
-                        )
-                        for s in searchers
-                    ]
+                df_p = sum(self._scatter("phrase_count", p_terms, slop, None))
+                p_idf = idf(r.n_docs, df_p) if df_p else 0.0
+                parts = self._scatter(
+                    "rescore_topk", lterms, idfs, r.avgdl, k, window_size,
+                    p_terms, p_idf, slop, query_weight, rescore_weight,
+                    filters, n_required,
+                )
                 bd, bs = _merge_shard_topk(parts, k)
         return self._result_table(bd, bs)
 
@@ -6893,26 +6489,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.top_hits_topk.remote(
-                                lterms, idfs, r.avgdl, attr, per_k,
-                                filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).top_hits_topk(
-                            lterms, idfs, r.avgdl, attr, per_k, filters,
-                            n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "top_hits_topk", lterms, idfs, r.avgdl, attr, per_k,
+                    filters, n_required,
+                )
                 cd = np.concatenate([p[0] for p in parts])
                 cs = np.concatenate([p[1] for p in parts])
                 cg = [g for p in parts for g in p[2]]
@@ -6961,24 +6541,9 @@ class QueryEngine:
             df = int(self._global_dfs([t])[0])
             if df > 0:
                 t_idf = idf(r.n_docs, df)
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.span_first_topk.remote(
-                                t, end, t_idf, r.avgdl, k, filters
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).span_first_topk(
-                            t, end, t_idf, r.avgdl, k, filters
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "span_first_topk", t, end, t_idf, r.avgdl, k, filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7004,25 +6569,10 @@ class QueryEngine:
             if int(dfs[0]) > 0 and int(dfs[1]) > 0:
                 idfa = idf(r.n_docs, int(dfs[0]))
                 idfb = idf(r.n_docs, int(dfs[1]))
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.span_near_topk.remote(
-                                ta, tb, slop, idfa, idfb, r.avgdl, k,
-                                filters,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).span_near_topk(
-                            ta, tb, slop, idfa, idfb, r.avgdl, k, filters
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "span_near_topk", ta, tb, slop, idfa, idfb, r.avgdl, k,
+                    filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7044,25 +6594,10 @@ class QueryEngine:
             df = int(self._global_dfs([ta[0]])[0])
             if df > 0:
                 t_idf = idf(r.n_docs, df)
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.span_not_topk.remote(
-                                ta[0], tb[0], dist, t_idf, r.avgdl, k,
-                                filters,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).span_not_topk(
-                            ta[0], tb[0], dist, t_idf, r.avgdl, k, filters
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "span_not_topk", ta[0], tb[0], dist, t_idf, r.avgdl, k,
+                    filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7076,7 +6611,6 @@ class QueryEngine:
         positionally-matched variant's BM25 (see
         ShardSearcher.span_or_near_topk for the documented scoring
         convention). → the standard result table."""
-        r = self.reader
         vts = self._qt(variants)
         ats = self._qt(anchor)
         if len(ats) != 1 or not vts:
@@ -7140,26 +6674,10 @@ class QueryEngine:
                     for d in dfs[:-1]
                 ]
                 a_idf = idf(r.n_docs, int(dfs[-1]))
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.span_or_near_topk.remote(
-                                vts, ats[0], slop, v_idfs, a_idf,
-                                r.avgdl, k, filters,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).span_or_near_topk(
-                            vts, ats[0], slop, v_idfs, a_idf, r.avgdl,
-                            k, filters,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "span_or_near_topk", vts, ats[0], slop, v_idfs, a_idf,
+                    r.avgdl, k, filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7193,26 +6711,10 @@ class QueryEngine:
                 idfa = idf(r.n_docs, int(dfs[0]))
                 idfb = idf(r.n_docs, int(dfs[1]))
                 idfc = idf(r.n_docs, int(dfs[2]))
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.span_contain_topk.remote(
-                                bts[0], bts[1], slop, lts[0], idfa,
-                                idfb, idfc, r.avgdl, k, mode, filters,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).span_contain_topk(
-                            bts[0], bts[1], slop, lts[0], idfa, idfb,
-                            idfc, r.avgdl, k, mode, filters,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "span_contain_topk", bts[0], bts[1], slop, lts[0], idfa,
+                    idfb, idfc, r.avgdl, k, mode, filters,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7246,18 +6748,7 @@ class QueryEngine:
         scores = np.zeros(0, dtype=np.float64)
         if cand and r.n_docs:
             probe = np.unique(np.asarray(cand, dtype=np.int64))
-            if self._actors is not None:
-                import ray
-
-                masks = ray.get(
-                    [a.contains_docids.remote(probe)
-                     for a in self._actors]
-                )
-            else:
-                masks = [
-                    r.searcher(s).contains_docids(probe)
-                    for s in range(r.num_shards)
-                ]
+            masks = self._scatter("contains_docids", probe)
             exists = np.zeros(len(probe), dtype=bool)
             for m in masks:
                 exists |= m
@@ -7283,18 +6774,7 @@ class QueryEngine:
         docids = np.zeros(0, dtype=np.int64)
         scores = np.zeros(0, dtype=np.float64)
         if terms and r.n_docs:
-            if self._actors is not None:
-                import ray
-
-                parts = ray.get(
-                    [a.any_terms_docs.remote(terms, k)
-                     for a in self._actors]
-                )
-            else:
-                parts = [
-                    r.searcher(s).any_terms_docs(terms, k)
-                    for s in range(r.num_shards)
-                ]
+            parts = self._scatter("any_terms_docs", terms, k)
             docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7319,30 +6799,11 @@ class QueryEngine:
         docids = np.zeros(0, dtype=np.int64)
         scores = np.zeros(0, dtype=np.float64)
         if r.n_docs:
-            if self._actors is not None:
-                import ray
-
-                counts = ray.get(
-                    [a.intervals_count.remote(node) for a in self._actors]
-                )
-                df_iv = int(sum(counts))
-                if df_iv:
-                    p_idf = idf(r.n_docs, df_iv)
-                    parts = ray.get(
-                        [a.intervals_topk.remote(node, p_idf, r.avgdl, k)
-                         for a in self._actors]
-                    )
-                    docids, scores = _merge_shard_topk(parts, k)
-            else:
-                searchers = [r.searcher(s) for s in range(r.num_shards)]
-                df_iv = sum(s.intervals_count(node) for s in searchers)
-                if df_iv:
-                    p_idf = idf(r.n_docs, df_iv)
-                    parts = [
-                        s.intervals_topk(node, p_idf, r.avgdl, k)
-                        for s in searchers
-                    ]
-                    docids, scores = _merge_shard_topk(parts, k)
+            df_iv = sum(self._scatter("intervals_count", node))
+            if df_iv:
+                p_idf = idf(r.n_docs, df_iv)
+                parts = self._scatter("intervals_topk", node, p_idf, r.avgdl, k)
+                docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
     def search_phrase(self, query: str, k: int = 10, slop: int = 0,
@@ -7380,38 +6841,16 @@ class QueryEngine:
         docids = np.zeros(0, dtype=np.int64)
         scores = np.zeros(0, dtype=np.float64)
         if terms and r.n_docs:
-            if self._actors is not None:
-                import ray
-
-                counts = ray.get(
-                    [a.phrase_count.remote(terms, slop, field, slop_mode)
-                     for a in self._actors]
+            df_phrase = sum(
+                self._scatter("phrase_count", terms, slop, field, slop_mode)
+            )
+            if df_phrase:
+                p_idf = idf(r.n_docs, df_phrase)
+                parts = self._scatter(
+                    "phrase_topk", terms, p_idf, avgdl, k, slop, field,
+                    slop_mode,
                 )
-                df_phrase = int(sum(counts))
-                if df_phrase:
-                    p_idf = idf(r.n_docs, df_phrase)
-                    parts = ray.get(
-                        [
-                            a.phrase_topk.remote(terms, p_idf, avgdl, k,
-                                                 slop, field, slop_mode)
-                            for a in self._actors
-                        ]
-                    )
-                    docids, scores = _merge_shard_topk(parts, k)
-            else:
-                searchers = [r.searcher(s) for s in range(r.num_shards)]
-                df_phrase = sum(
-                    s.phrase_count(terms, slop, field, slop_mode)
-                    for s in searchers
-                )
-                if df_phrase:
-                    p_idf = idf(r.n_docs, df_phrase)
-                    parts = [
-                        s.phrase_topk(terms, p_idf, avgdl, k, slop,
-                                      field, slop_mode)
-                        for s in searchers
-                    ]
-                    docids, scores = _merge_shard_topk(parts, k)
+                docids, scores = _merge_shard_topk(parts, k)
         conv, turn = r.keys_of(docids)
         return pa.table(
             {
@@ -7525,43 +6964,17 @@ class QueryEngine:
         scores = np.zeros(0, dtype=np.float64)
         if toks and r.n_docs:
             head, prefix = toks[:-1], toks[-1]
-            if self._actors is not None:
-                import ray
-
-                counts = ray.get(
-                    [a.phrase_prefix_count.remote(head, prefix, slop,
-                                                  field, max_expansions)
-                     for a in self._actors]
+            df_phrase = sum(self._scatter(
+                "phrase_prefix_count", head, prefix, slop, field,
+                max_expansions,
+            ))
+            if df_phrase:
+                p_idf = idf(r.n_docs, df_phrase)
+                parts = self._scatter(
+                    "phrase_prefix_topk", head, prefix, p_idf, avgdl, k,
+                    slop, field, max_expansions,
                 )
-                df_phrase = int(sum(counts))
-                if df_phrase:
-                    p_idf = idf(r.n_docs, df_phrase)
-                    parts = ray.get(
-                        [
-                            a.phrase_prefix_topk.remote(
-                                head, prefix, p_idf, avgdl, k, slop,
-                                field, max_expansions,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                    docids, scores = _merge_shard_topk(parts, k)
-            else:
-                searchers = [r.searcher(s) for s in range(r.num_shards)]
-                df_phrase = sum(
-                    s.phrase_prefix_count(head, prefix, slop, field,
-                                          max_expansions)
-                    for s in searchers
-                )
-                if df_phrase:
-                    p_idf = idf(r.n_docs, df_phrase)
-                    parts = [
-                        s.phrase_prefix_topk(head, prefix, p_idf, avgdl,
-                                             k, slop, field,
-                                             max_expansions)
-                        for s in searchers
-                    ]
-                    docids, scores = _merge_shard_topk(parts, k)
+                docids, scores = _merge_shard_topk(parts, k)
         conv, turn = r.keys_of(docids)
         return pa.table(
             {
@@ -7654,20 +7067,7 @@ class QueryEngine:
         live, n_required, dead = self._query_shape(query, mode)
         if not live or (mode == "and" and dead):
             return 0
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            return sum(
-                ray.get(
-                    [a.count.remote(live, n_required, filters)
-                     for a in self._actors]
-                )
-            )
-        return sum(
-            r.searcher(s).count(live, n_required, filters)
-            for s in range(r.num_shards)
-        )
+        return sum(self._scatter("count", live, n_required, filters))
 
     def adjacency_matrix(self, named: dict[str, str],
                          filters: dict | None = None, mode: str = "or"):
@@ -7690,18 +7090,7 @@ class QueryEngine:
         total = np.zeros((F, F), dtype=np.int64)
         r = self.reader
         if F and r.n_docs:
-            if self._actors is not None:
-                import ray
-
-                parts = ray.get(
-                    [a.adjacency_counts.remote(specs, filters)
-                     for a in self._actors]
-                )
-            else:
-                parts = [
-                    r.searcher(s).adjacency_counts(specs, filters)
-                    for s in range(r.num_shards)
-                ]
+            parts = self._scatter("adjacency_counts", specs, filters)
             for p in parts:
                 total += p
         ai, bi = np.triu_indices(F)
@@ -7720,19 +7109,7 @@ class QueryEngine:
         live, n_required, dead = self._query_shape(query, mode)
         if not live or (mode == "and" and dead):
             return {}
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [a.facet.remote(live, attr, n_required, filters)
-                 for a in self._actors]
-            )
-        else:
-            parts = [
-                r.searcher(s).facet(live, attr, n_required, filters)
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter("facet", live, attr, n_required, filters)
         out: dict = {}
         for p in parts:
             for v, n in p.items():
@@ -7772,21 +7149,9 @@ class QueryEngine:
         if not live or (mode == "and" and dead):
             return {}
         interval_us = interval_hours * 3_600_000_000
-        r = self.reader
-        if self._actors is not None:
-            import ray
-
-            parts = ray.get(
-                [a.date_histogram.remote(live, attr, interval_us,
-                                         n_required, filters)
-                 for a in self._actors]
-            )
-        else:
-            parts = [
-                r.searcher(s).date_histogram(live, attr, interval_us,
-                                             n_required, filters)
-                for s in range(r.num_shards)
-            ]
+        parts = self._scatter(
+            "date_histogram", live, attr, interval_us, n_required, filters,
+        )
         out: dict[int, int] = {}
         for p in parts:
             for b, n in p.items():
@@ -7820,23 +7185,10 @@ class QueryEngine:
                     ShardSearcher._as_us(search_after[0]),
                     int(search_after[1]),
                 )
-            r = self.reader
-            if self._actors is not None:
-                import ray
-
-                parts = ray.get(
-                    [
-                        a.sorted_matches.remote(live, sort, k, order, after,
-                                                n_required, filters)
-                        for a in self._actors
-                    ]
-                )
-            else:
-                parts = [
-                    r.searcher(s).sorted_matches(live, sort, k, order, after,
-                                                 n_required, filters)
-                    for s in range(r.num_shards)
-                ]
+            parts = self._scatter(
+                "sorted_matches", live, sort, k, order, after, n_required,
+                filters,
+            )
             docids = np.concatenate([p[0] for p in parts])
             tss = np.concatenate([p[1] for p in parts])
             pos = (
@@ -7876,20 +7228,9 @@ class QueryEngine:
             dead = len(live) < len(terms)
             if live and not (mode == "and" and dead):
                 n_required = len(live) if mode == "and" else 0
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [a.random_topk.remote(live, k, seed, filters,
-                                              n_required)
-                         for a in self._actors]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).random_topk(live, k, seed,
-                                                  filters, n_required)
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "random_topk", live, k, seed, filters, n_required,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7921,27 +7262,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.distfeat_topk.remote(
-                                lterms, idfs, r.avgdl, k, attr,
-                                origin_us, pivot_us, boost, filters,
-                                n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).distfeat_topk(
-                            lterms, idfs, r.avgdl, k, attr, origin_us,
-                            pivot_us, boost, filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "distfeat_topk", lterms, idfs, r.avgdl, k, attr, origin_us,
+                    pivot_us, boost, filters, n_required,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
@@ -7977,26 +7301,10 @@ class QueryEngine:
                 n_required = len(live) if mode == "and" else 0
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
-                if self._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [
-                            a.decay_topk.remote(
-                                lterms, idfs, r.avgdl, k, attr, origin_us,
-                                scale_us, decay, filters, n_required,
-                            )
-                            for a in self._actors
-                        ]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).decay_topk(
-                            lterms, idfs, r.avgdl, k, attr, origin_us,
-                            scale_us, decay, filters, n_required,
-                        )
-                        for s in range(r.num_shards)
-                    ]
+                parts = self._scatter(
+                    "decay_topk", lterms, idfs, r.avgdl, k, attr, origin_us,
+                    scale_us, decay, filters, n_required,
+                )
                 docids, scores = _merge_shard_topk(parts, k)
         conv, turn = r.keys_of(docids)
         return pa.table(
@@ -8340,8 +7648,8 @@ class QueryEngine:
                 idfs = [idf(r.n_docs, d) for _, d in live]
                 per_query.append(
                     [
-                        a.topk.remote(lterms, idfs, r.avgdl, k, self.algo,
-                                      filters, n_required)
+                        a.call.remote("topk", lterms, idfs, r.avgdl, k,
+                                      self.algo, filters, n_required)
                         for a in self._actors
                     ]
                 )
@@ -8351,21 +7659,9 @@ class QueryEngine:
                     docids = np.zeros(0, dtype=np.int64)
                     scores = np.zeros(0, dtype=np.float64)
                 else:
-                    docids, scores = _merge_shard_topk(ray.get(refs), k)
-                conv, turn = r.keys_of(docids)
-                tables.append(
-                    pa.table(
-                        {
-                            "rank": pa.array(
-                                np.arange(1, len(docids) + 1, dtype=np.int32)
-                            ),
-                            "docid": pa.array(docids, type=pa.int64()),
-                            "conv_id": pa.array(conv, type=pa.string()),
-                            "turn_idx": pa.array(turn, type=pa.int32()),
-                            "score": pa.array(scores, type=pa.float64()),
-                        }
-                    )
-                )
+                    parts = [p for group in ray.get(refs) for p in group]
+                    docids, scores = _merge_shard_topk(parts, k)
+                tables.append(self._result_table(docids, scores))
         out = []
         for i, t in enumerate(tables):
             out.append(
@@ -8384,427 +7680,18 @@ class QueryEngine:
 
 
 class ShardActor:
-    """Ray actor serving a group of shards (instantiated via ray.remote
-    in QueryEngine; kept import-safe as a plain class). df sums and
-    top-k merge over its group happen locally, so the driver always
-    merges exactly pool-size results."""
+    """Ray actor serving a contiguous group of shards (instantiated via
+    ray.remote in QueryEngine; kept import-safe as a plain class). It
+    only dispatches: every reduce happens in the driver, on the same
+    per-shard list the in-process path produces."""
 
     def __init__(self, shard_paths: list[str], config_dict: dict):
         cfg = IndexConfig.from_dict(config_dict)
         self.searchers = [ShardSearcher(p, cfg) for p in shard_paths]
 
-    def dfs(self, terms: list[str]) -> list[int]:
-        totals = np.zeros(len(terms), dtype=np.int64)
-        for s in self.searchers:
-            totals += np.asarray(s.dfs(terms), dtype=np.int64)
-        return totals.tolist()
-
-    def ctfs(self, terms: list[str]) -> list[int]:
-        totals = np.zeros(len(terms), dtype=np.int64)
-        for s in self.searchers:
-            totals += np.asarray(s.ctfs(terms), dtype=np.int64)
-        return totals.tolist()
-
-    def adj_counts(self, pairs: list[tuple[str, str]]) -> list[int]:
-        totals = np.zeros(len(pairs), dtype=np.int64)
-        for s in self.searchers:
-            totals += np.asarray(s.adj_counts(pairs), dtype=np.int64)
-        return totals.tolist()
-
-    def topk(self, terms, idfs, avgdl, k, algo, filters=None, n_required=0,
-             after=None):
-        parts = [
-            s.topk(terms, idfs, avgdl, k, algo, filters, n_required, after)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def topk_fields(self, entries, avgdls, k, filters=None,
-                    combine="sum", tie_breaker=0.0):
-        parts = [
-            s.topk_fields(entries, avgdls, k, filters, combine, tie_breaker)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def df_union(self, groups):
-        out = self.searchers[0].df_union(groups)
-        for s in self.searchers[1:]:
-            out = out + s.df_union(groups)
-        return out
-
-    def topk_cross(self, groups, idfs, avgdls, k, filters=None):
-        parts = [
-            s.topk_cross(groups, idfs, avgdls, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def topk_combined(self, groups, idfs, field_weights, avgdl, k,
-                      filters=None):
-        parts = [
-            s.topk_combined(groups, idfs, field_weights, avgdl, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def topk_synonyms(self, groups, idfs, avgdl, k, filters=None):
-        parts = [
-            s.topk_synonyms(groups, idfs, avgdl, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def count(self, terms, n_required=0, filters=None) -> int:
-        return sum(s.count(terms, n_required, filters) for s in self.searchers)
-
-    def span_first_topk(self, term, end, t_idf, avgdl, k, filters=None):
-        parts = [
-            s.span_first_topk(term, end, t_idf, avgdl, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def dsl_topk(self, tree, avgdl, k, filters=None):
-        parts = [
-            s.dsl_topk(tree, avgdl, k, filters) for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def span_near_topk(self, ta, tb, slop, idfa, idfb, avgdl, k,
-                       filters=None):
-        parts = [
-            s.span_near_topk(ta, tb, slop, idfa, idfb, avgdl, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def span_not_topk(self, ta, tb, dist, t_idf, avgdl, k, filters=None):
-        parts = [
-            s.span_not_topk(ta, tb, dist, t_idf, avgdl, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def span_or_near_topk(self, variants, anchor, slop, v_idfs,
-                          anchor_idf, avgdl, k, filters=None):
-        parts = [
-            s.span_or_near_topk(variants, anchor, slop, v_idfs,
-                                anchor_idf, avgdl, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def span_contain_topk(self, ta, tb, slop, tc, idfa, idfb, idfc,
-                          avgdl, k, mode, filters=None):
-        parts = [
-            s.span_contain_topk(ta, tb, slop, tc, idfa, idfb, idfc,
-                                avgdl, k, mode, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def contains_docids(self, docids):
-        mask = self.searchers[0].contains_docids(docids)
-        for s in self.searchers[1:]:
-            mask = mask | s.contains_docids(docids)
-        return mask
-
-    def any_terms_docs(self, terms, k):
-        parts = [s.any_terms_docs(terms, k) for s in self.searchers]
-        return _merge_shard_topk(parts, k)
-
-    def distfeat_topk(self, terms, idfs, avgdl, k, attr, origin_us,
-                      pivot_us, boost=1.0, filters=None, n_required=0):
-        parts = [
-            s.distfeat_topk(terms, idfs, avgdl, k, attr, origin_us,
-                            pivot_us, boost, filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def random_topk(self, terms, k, seed=0, filters=None, n_required=0):
-        parts = [
-            s.random_topk(terms, k, seed, filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def decay_topk(self, terms, idfs, avgdl, k, attr, origin_us, scale_us,
-                   decay=0.5, filters=None, n_required=0):
-        parts = [
-            s.decay_topk(terms, idfs, avgdl, k, attr, origin_us, scale_us,
-                         decay, filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def sorted_matches(self, terms, attr, k, order="desc",
-                       search_after=None, n_required=0, filters=None):
-        parts = [
-            s.sorted_matches(terms, attr, k, order, search_after,
-                             n_required, filters)
-            for s in self.searchers
-        ]
-        ids = np.concatenate([p[0] for p in parts])
-        tss = np.concatenate([p[1] for p in parts])
-        pos = (
-            np.lexsort((ids, tss)) if order == "asc"
-            else np.lexsort((ids, -tss))
-        )[:k]
-        return ids[pos], tss[pos]
-
-    def terms_with_prefix(self, prefix: str, cap: int,
-                          field: str | None = None) -> list[str]:
-        out: set[str] = set()
-        for s in self.searchers:
-            out.update(s.terms_with_prefix(prefix, cap, field))
-        return sorted(out)[:cap]
-
-    def terms_matching(self, pattern: str, cap: int,
-                       field: str | None = None) -> list[str]:
-        out: set[str] = set()
-        for s in self.searchers:
-            out.update(s.terms_matching(pattern, cap, field))
-        return sorted(out)[:cap]
-
-    def terms_regexp(self, pattern: str, cap: int,
-                     field: str | None = None) -> list[str]:
-        out: set[str] = set()
-        for s in self.searchers:
-            out.update(s.terms_regexp(pattern, cap, field))
-        return sorted(out)[:cap]
-
-    def collapse_topk(self, terms, idfs, avgdl, attr, k,
-                      filters=None, n_required=0):
-        parts = [
-            s.collapse_topk(terms, idfs, avgdl, attr, k, filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_collapse(parts, k)
-
-    def has_child_topk(self, terms, idfs, avgdl, k, score_mode="max",
-                       min_children=1, max_children=None, filters=None,
-                       n_required=0):
-        parts = [
-            s.has_child_topk(terms, idfs, avgdl, k, score_mode,
-                             min_children, max_children, filters,
-                             n_required)
-            for s in self.searchers
-        ]
-        return _merge_has_child(parts, k)
-
-    def has_parent_topk(self, terms, idfs, avgdl, k, filters=None,
-                        n_required=0, score=True):
-        parts = [
-            s.has_parent_topk(terms, idfs, avgdl, k, filters, n_required,
-                              score)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def children_of(self, conv_keys):
-        kids = [s.children_of(conv_keys) for s in self.searchers]
-        return np.sort(np.concatenate(kids)) if kids else np.zeros(
-            0, dtype=np.int64
-        )
-
-    def child_hits_for_convs(self, terms, idfs, avgdl, conv_keys,
-                             per_parent, filters=None, n_required=0):
-        # conversations never span shards: concatenation is exact
-        parts = [
-            s.child_hits_for_convs(terms, idfs, avgdl, conv_keys,
-                                   per_parent, filters, n_required)
-            for s in self.searchers
-        ]
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-        )
-
-    def dismax_topk(self, groups, avgdl, k, tie_breaker=0.0, filters=None):
-        parts = [
-            s.dismax_topk(groups, avgdl, k, tie_breaker, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def rank_feature_topk(self, terms, idfs, avgdl, k,
-                          function="saturation", pivot=None, boost=1.0,
-                          scale=1.0, exponent=1.0, filters=None,
-                          n_required=0):
-        parts = [
-            s.rank_feature_topk(terms, idfs, avgdl, k, function, pivot,
-                                boost, scale, exponent, filters,
-                                n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def terms_set_topk(self, terms, idfs, avgdl, k, filters=None):
-        parts = [
-            s.terms_set_topk(terms, idfs, avgdl, k, filters)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def sampler_agg(self, terms, idfs, avgdl, shard_size, attr,
-                    max_per_conv=None, filters=None, n_required=0):
-        out: dict = {}
-        for s in self.searchers:
-            for v, c in s.sampler_agg(terms, idfs, avgdl, shard_size,
-                                      attr, max_per_conv, filters,
-                                      n_required).items():
-                out[v] = out.get(v, 0) + c
-        return out
-
-    def script_score_topk(self, terms, idfs, avgdl, k, script,
-                          params=None, filters=None, n_required=0):
-        parts = [
-            s.script_score_topk(terms, idfs, avgdl, k, script, params,
-                                filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def script_fields_topk(self, terms, idfs, avgdl, k, fields,
-                           params=None, filters=None, n_required=0):
-        parts = [
-            s.script_fields_topk(terms, idfs, avgdl, k, fields, params,
-                                 filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_script_fields(parts, k)
-
-    def script_filter_topk(self, terms, idfs, avgdl, k, script,
-                           params=None, filters=None, n_required=0):
-        parts = [
-            s.script_filter_topk(terms, idfs, avgdl, k, script, params,
-                                 filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def adjacency_counts(self, specs, filters=None):
-        mats = [s.adjacency_counts(specs, filters) for s in self.searchers]
-        return sum(mats[1:], mats[0])
-
-    def boosting_topk(self, terms, idfs, avgdl, k, neg_terms,
-                      negative_boost, filters=None, n_required=0):
-        parts = [
-            s.boosting_topk(terms, idfs, avgdl, k, neg_terms,
-                            negative_boost, filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def rescore_topk(self, terms, idfs, avgdl, k, window, p_terms,
-                     p_idf, p_slop, query_weight, rescore_weight,
-                     filters=None, n_required=0):
-        parts = [
-            s.rescore_topk(terms, idfs, avgdl, k, window, p_terms,
-                           p_idf, p_slop, query_weight, rescore_weight,
-                           filters, n_required)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def top_hits_topk(self, terms, idfs, avgdl, attr, per_k,
-                      filters=None, n_required=0):
-        parts = [
-            s.top_hits_topk(terms, idfs, avgdl, attr, per_k, filters,
-                            n_required)
-            for s in self.searchers
-        ]
-        cd = np.concatenate([p[0] for p in parts])
-        cs = np.concatenate([p[1] for p in parts])
-        cg = [g for p in parts for g in p[2]]
-        if not len(cd):
-            return cd, cs, cg
-        return _per_group_topk(cd, cs, cg, per_k)
-
-    def bool_topk(self, terms, idfs, must_flags, should_flags, mnot,
-                  avgdl, k, filters=None, n_must=0, msm=0):
-        parts = [
-            s.bool_topk(terms, idfs, must_flags, should_flags, mnot,
-                        avgdl, k, filters, n_must, msm)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def fuzzy_candidates(self, term, max_edits, prefix_length=0):
-        best: dict[str, int] = {}
-        for s in self.searchers:
-            for t, d in s.fuzzy_candidates(term, max_edits, prefix_length):
-                if t not in best or d < best[t]:
-                    best[t] = d
-        return list(best.items())
-
-    def date_histogram(self, terms, attr, interval_us, n_required=0,
-                       filters=None) -> dict:
-        out: dict[int, int] = {}
-        for s in self.searchers:
-            for b, n in s.date_histogram(
-                terms, attr, interval_us, n_required, filters
-            ).items():
-                out[b] = out.get(b, 0) + n
-        return out
-
-    def phrase_matches(self, terms: list[str], slop: int = 0,
-                       field: str | None = None):
-        parts = [s.phrase_matches(terms, slop, field)
-                 for s in self.searchers]
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-        )
-
-    def phrase_count(self, terms: list[str], slop: int = 0,
-                     field: str | None = None,
-                     slop_mode: str = "windowed") -> int:
-        return sum(s.phrase_count(terms, slop, field, slop_mode)
-                   for s in self.searchers)
-
-    def phrase_topk(self, terms, p_idf, avgdl, k, slop: int = 0,
-                    field: str | None = None,
-                    slop_mode: str = "windowed"):
-        parts = [s.phrase_topk(terms, p_idf, avgdl, k, slop, field,
-                               slop_mode)
-                 for s in self.searchers]
-        return _merge_shard_topk(parts, k)
-
-    def intervals_count(self, node: dict) -> int:
-        return sum(s.intervals_count(node) for s in self.searchers)
-
-    def intervals_topk(self, node: dict, p_idf, avgdl, k):
-        parts = [s.intervals_topk(node, p_idf, avgdl, k)
-                 for s in self.searchers]
-        return _merge_shard_topk(parts, k)
-
-    def phrase_prefix_count(self, terms, prefix, slop: int = 0,
-                            field: str | None = None,
-                            max_expansions: int | None = None) -> int:
-        return sum(
-            s.phrase_prefix_count(terms, prefix, slop, field,
-                                  max_expansions)
-            for s in self.searchers
-        )
-
-    def phrase_prefix_topk(self, terms, prefix, p_idf, avgdl, k,
-                           slop: int = 0, field: str | None = None,
-                           max_expansions: int | None = None):
-        parts = [
-            s.phrase_prefix_topk(terms, prefix, p_idf, avgdl, k, slop,
-                                 field, max_expansions)
-            for s in self.searchers
-        ]
-        return _merge_shard_topk(parts, k)
-
-    def facet(self, terms, attr, n_required=0, filters=None) -> dict:
-        out: dict = {}
-        for s in self.searchers:
-            for v, n in s.facet(terms, attr, n_required, filters).items():
-                out[v] = out.get(v, 0) + n
-        return out
+    def call(self, name: str, *args, **kw) -> list:
+        """``ShardSearcher.<name>(*args, **kw)`` on each shard of the
+        group → one result per shard, in shard order."""
+        if name.startswith("_"):
+            raise AttributeError(f"ShardActor.call refuses {name!r}")
+        return [getattr(s, name)(*args, **kw) for s in self.searchers]

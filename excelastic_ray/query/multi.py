@@ -103,24 +103,11 @@ class MultiIndexEngine:
         if not skip:
             for name, e in zip(self.names, self.engines):
                 bmul = float((boosts or {}).get(name, 1.0))
-                r = e.reader
-                if e._actors is not None:
-                    import ray
-
-                    parts = ray.get(
-                        [a.topk.remote(lterms, idfs, self.avgdl, k,
-                                       "taat", filters, n_required)
-                         for a in e._actors]
-                    )
-                else:
-                    parts = [
-                        r.searcher(s).topk(lterms, idfs, self.avgdl, k,
-                                           "taat", filters=filters,
-                                           n_required=n_required)
-                        for s in range(r.num_shards)
-                    ]
+                parts = e._scatter("topk", lterms, idfs, self.avgdl, k,
+                                   "taat", filters=filters,
+                                   n_required=n_required)
                 for docids, scores in parts:
-                    conv, turn = r.keys_of(docids)
+                    conv, turn = e.reader.keys_of(docids)
                     rows.extend(zip(scores * bmul, conv,
                                     turn.astype(int),
                                     [name] * len(docids)))
