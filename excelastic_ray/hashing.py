@@ -17,6 +17,9 @@ map_batches hands us.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 FNV_OFFSET = np.uint64(14695981039346656037)
 FNV_PRIME = np.uint64(1099511628211)
@@ -115,38 +118,96 @@ def bit_length_u64(x: np.ndarray) -> np.ndarray:
 def resolve_buckets(ds=None, n_buckets: int | None = None,
                     bytes_per_row: int = 16,
                     target_bytes: int = 256 << 20) -> int:
-    """Shuffle-bucket count for the coarse-bucket combine pattern.
+    """Shuffle-bucket count K for the coarse-bucket combine pattern.
 
-    ``n_buckets`` explicit → returned verbatim. ``None`` → auto-sized by
-    the SCALE.md rule: one bucket materializes as one reducer frame, so
-    K ≈ max(64, 2 × cluster cores, rows × bytes_per_row / 256 MB). The
-    row count comes from ``ds._meta_count()`` (metadata-only — parquet
-    footers; NEVER executes a derived pipeline); when the count is
-    unknown (derived dataset, ds=None) the cluster-based floor applies
-    and corpus-proportional sizing is the caller's job via an explicit
-    ``n_buckets``."""
+    ``n_buckets`` explicit → returned verbatim. ``None`` → sized to the
+    data by the SCALE.md rule: one bucket materializes as one reducer
+    frame, so K = max(cluster CPUs, rows × bytes_per_row / 256 MB + 1)
+    — one frame per core for a small corpus (every extra bucket is one
+    more pandas call per exchange), and ~256 MB frames at scale. The
+    row count comes from ``ds._meta_count()`` (metadata only — parquet
+    footers or a materialized dataset's block metadata; NEVER executes a
+    derived pipeline). When the count is unknown (derived dataset,
+    ``ds=None``) the wide ``max(64, 2 × (pool + 2))`` floor applies, so
+    an unsized exchange never piles a large input onto a few frames."""
     if n_buckets is not None:
         return n_buckets
-    floor = max(64, 2 * (default_pool() + 2))
-    if ds is None:
-        return floor
     try:
-        n = ds._meta_count()
+        n = ds._meta_count() if ds is not None else None
     except Exception:
         n = None
     if not n:
-        return floor
-    return max(floor, int(n) * bytes_per_row // target_bytes + 1)
+        return max(64, 2 * (default_pool() + 2))
+    return max(cluster_cpus(), int(n) * bytes_per_row // target_bytes + 1)
+
+
+def _key_frame(t: pa.Table, key_cols: list[str]) -> pd.DataFrame:
+    """``key_cols`` of an Arrow batch as pandas, with integer and bool
+    nulls filled: a null would turn the column float/object in one
+    block and leave it int/bool in another, and the same key would then
+    hash to two buckets."""
+    cols = {}
+    for c in key_cols:
+        a = t[c]
+        if a.null_count and (pa.types.is_integer(a.type)
+                             or pa.types.is_boolean(a.type)):
+            a = pc.fill_null(a, pa.scalar(0).cast(a.type))
+        cols[c] = a.to_pandas()
+    return pd.DataFrame(cols)
+
+
+def combine_by_key(partials, key_cols: list[str], combine, *, size_from,
+                   bytes_per_row: int, n_buckets: int | None = None):
+    """The partial → bucket → combine exchange: hash ``key_cols`` into
+    ``__bucket`` (K buckets), group by it, and run ``combine`` on each
+    bucket's pandas frame (``__bucket`` dropped). Every row of one key
+    lands in one call, so ``combine`` does the fine per-key grouping
+    vectorized — a Ray groupby over millions of tiny key groups pays
+    per-group machinery instead (the round-1 tiny-group pitfall).
+
+    K comes from :func:`resolve_buckets` over ``size_from`` — the SOURCE
+    dataset whose metadata row count ``partials`` derives from (pass
+    ``None`` when there is none), with ``bytes_per_row`` the bytes one
+    source row puts into a reducer frame. Sizing from the source keeps
+    a derived partial stream off the unknown-count floor."""
+    k = resolve_buckets(size_from, n_buckets, bytes_per_row=bytes_per_row)
+
+    def add_bucket(b):
+        # blocks stay in their native format: partials a pandas UDF
+        # returned are pandas blocks, a parquet read's are Arrow
+        native = isinstance(b, pd.DataFrame)
+        keys = b[key_cols] if native else _key_frame(b, key_cols)
+        h = pd.util.hash_pandas_object(keys, index=False).to_numpy()
+        bucket = (h % k).astype(np.int64)
+        if native:
+            return b.assign(__bucket=bucket)
+        return b.append_column("__bucket", pa.array(bucket))
+
+    def run(g: pd.DataFrame) -> pd.DataFrame:
+        return combine(g.drop(columns="__bucket"))
+
+    return (
+        partials.map_batches(add_bucket, batch_format=None, batch_size=None)
+        .groupby("__bucket")
+        .map_groups(run, batch_format="pandas")
+    )
+
+
+def cluster_cpus() -> int:
+    """CPUs of the connected Ray cluster (8 when Ray is not
+    initialized)."""
+    try:
+        import ray
+
+        if ray.is_initialized():
+            return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        pass
+    return 8
 
 
 def default_pool(headroom: int = 2, floor: int = 2) -> int:
     """Actor-pool size for pipeline stages: cluster CPUs minus headroom
     for the read/shuffle task pools (an actor pool that reserves every
     CPU deadlocks the streaming executor — measured in round 1)."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    return max(floor, cpus - headroom)
+    return max(floor, cluster_cpus() - headroom)

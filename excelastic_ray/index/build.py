@@ -295,6 +295,7 @@ def distributed_conversation_ranks(ds, config: IndexConfig,
 
 def _chunk_phase_joined(
     ds,
+    schema: pa.Schema,
     config: IndexConfig,
     index_dir: str,
     skip: list[int],
@@ -319,7 +320,6 @@ def _chunk_phase_joined(
     # corpus (~200 B/row of carried text) so a bucket stays ~256 MB
     n_buckets = max(64, 2 * cpus,
                     (n_rows or 0) * 200 // (256 << 20) + 1)
-    schema = ds.schema()
     schema_names = set(schema.names)
     col_types = dict(zip(schema.names, schema.types))  # pyarrow types
     carry_cols = sorted(
@@ -1068,6 +1068,7 @@ def _store_cols(config: IndexConfig, schema_names: set[str]) -> list[str]:
 
 def _chunk_phase(
     ds,
+    schema: pa.Schema,
     conv_path,
     config: IndexConfig,
     index_dir: str,
@@ -1080,8 +1081,9 @@ def _chunk_phase(
     → LAZY Dataset of per-chunk summary rows (callers stream it for the
     overlapped merge, or to_pandas()).
     ``conv_path`` is the conv-rank parquet path each stamp actor loads in
-    __init__ (re-fetchable on actor restart, unlike an ObjectRef)."""
-    schema_names = set(ds.schema().names)
+    __init__ (re-fetchable on actor restart, unlike an ObjectRef).
+    ``schema`` is ``ds``'s schema, learned once by the caller."""
+    schema_names = set(schema.names)
     carry_cols = sorted(
         {"conv_id", "turn_idx", *config.index_fields,
          *config.field_index_fields, *store_cols}
@@ -1675,6 +1677,7 @@ def build_index(
     parallelism: int | None = None,
     transforms: list | None = None,
     strict_turns: bool = True,
+    schema: pa.Schema | None = None,
 ) -> BuildResult:
     """Build (or resume building) an index over a transcript corpus.
 
@@ -1688,6 +1691,12 @@ def build_index(
     table) applied between read and validation — the ES ingest-pipeline
     knob (``ImportEvent.java:44,61``; README.md:16) re-expressed as
     ``map_batches`` stages. Each must preserve the transcript schema.
+
+    ``schema``: the column schema of a ``Dataset`` source, when the
+    caller knows it without executing anything (e.g. from Parquet
+    footers). Ray Data learns the schema of a Dataset ending in
+    ``map_batches`` only by running it up to its first block; with
+    ``schema`` given (and no ``transforms``) the build probes nothing.
     """
     import ray.data as rd
     from ray.data.context import ShuffleStrategy
@@ -1703,7 +1712,7 @@ def build_index(
         return _build_index_impl(
             source, index_dir, config, clear=clear, resume=resume,
             parallelism=parallelism, transforms=transforms,
-            strict_turns=strict_turns,
+            strict_turns=strict_turns, schema=schema,
         )
     finally:
         ctx.shuffle_strategy = prior_strategy
@@ -1719,6 +1728,7 @@ def _build_index_impl(
     parallelism: int | None,
     transforms: list | None = None,
     strict_turns: bool = True,
+    schema: pa.Schema | None = None,
 ) -> BuildResult:
     import ray
     import ray.data as rd
@@ -1762,7 +1772,9 @@ def _build_index_impl(
     for t in transforms or ():
         ds = ds.map_batches(t, batch_format="pyarrow")
 
-    schema_names = set(ds.schema().names)
+    if schema is None or transforms:
+        schema = ds.schema()
+    schema_names = set(schema.names)
     missing = {"conv_id", "turn_idx", *config.index_fields,
                *config.field_index_fields} - schema_names
     if missing:
@@ -1846,11 +1858,11 @@ def _build_index_impl(
         def _shuffle(sk):
             if use_dist:
                 return _chunk_phase_joined(
-                    ds, config, index_dir, sk, cpus, store_cols,
+                    ds, schema, config, index_dir, sk, cpus, store_cols,
                     n_rows=n_rows_hint,
                 )
             return _chunk_phase(
-                ds, os.path.join(index_dir, "convs.parquet"), config,
+                ds, schema, os.path.join(index_dir, "convs.parquet"), config,
                 index_dir, sk, cpus, store_cols,
             )
 
@@ -1981,7 +1993,8 @@ def append_index(
             )
         else:
             ds = source
-        schema_names = set(ds.schema().names)
+        schema = ds.schema()
+        schema_names = set(schema.names)
         missing = {"conv_id", "turn_idx", *config.index_fields,
                *config.field_index_fields} - schema_names
         if missing:
@@ -2064,7 +2077,7 @@ def append_index(
         summaries, shard_bytes, _tc, _tm = _chunks_with_fallback(
             ranged,
             lambda sk: _chunk_phase(
-                ds, pending, config, index_dir, sk, cpus, store_cols,
+                ds, schema, pending, config, index_dir, sk, cpus, store_cols,
                 rank_offset=base_rank,
             ),
             index_dir, config, len(expected), num_shards, skip, cpus,
@@ -2612,9 +2625,9 @@ def reindex(src_index: str, dst_index: str,
             overlays[str(name)] = (uid[mm][o], uval[mm][o])
     ref = ray.put((dead, overlays))
 
+    footer = pq.ParquetFile(files[0]).schema_arrow
     src_cols = [
-        c for c in ("docid", *TRANSCRIPT_COLUMNS)
-        if c in pq.ParquetFile(files[0]).schema_arrow.names
+        c for c in ("docid", *TRANSCRIPT_COLUMNS) if c in footer.names
     ]
     out_cols = [c for c in src_cols if c != "docid"]
 
@@ -2659,9 +2672,13 @@ def reindex(src_index: str, dst_index: str,
     # strict_turns=False: tombstones punch holes in the 0..n-1 turn
     # sequence; bounds still checked, duplicates still caught by the
     # chunk builder's docid guard
+    # the output schema comes from the footer: asking Ray Data for it
+    # would run live_source up to its first block, and cancelling that
+    # run can abort Ray's core worker
     return build_index(
         ds, dst_index, config, clear=clear, transforms=transforms,
         parallelism=parallelism, strict_turns=not len(dead),
+        schema=pa.schema([footer.field(c) for c in out_cols]),
     )
 
 

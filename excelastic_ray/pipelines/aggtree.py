@@ -56,7 +56,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from excelastic_ray.hashing import resolve_buckets
+from excelastic_ray.hashing import combine_by_key
 from excelastic_ray.pipelines.textstats import trunc6
 
 __all__ = ["agg_tree", "agg_tree_fanout"]
@@ -214,7 +214,6 @@ def _level_keys(batch: pa.Table, kind: str, params: dict) -> np.ndarray:
 
 def agg_tree(ds, spec: dict, n_buckets: int | None = None) -> pa.Table:
     levels, metrics = _parse_spec(spec)
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=8)
     key_cols = [f"{name}_key" for name, _, _ in levels]
 
     def partial(batch: pa.Table) -> pd.DataFrame:
@@ -296,33 +295,24 @@ def agg_tree(ds, spec: dict, n_buckets: int | None = None) -> pa.Table:
             .reset_index()
         )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[key_cols], index=False).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % n_buckets).astype(np.int64)
-        return out
-
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         aggs = {}
         for c in g.columns:
-            if c in key_cols or c == "__bucket":
+            if c in key_cols:
                 continue
             aggs[c] = (c, "min" if c.endswith("__min")
                        else "max" if c.endswith("__max") else "sum")
         return (
-            g.drop(columns="__bucket")
-            .groupby(key_cols, sort=False, dropna=False)
+            g.groupby(key_cols, sort=False, dropna=False)
             .agg(**aggs)
             .reset_index()
         )
 
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-        .to_pandas()
-    )
+    fine = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384),
+        key_cols, combine, size_from=ds, bytes_per_row=8,
+        n_buckets=n_buckets,
+    ).to_pandas()
 
     def _typed_empty() -> pa.Table:
         cols: dict = {}
@@ -678,7 +668,6 @@ def agg_tree_fanout(ds, spec: dict, n_buckets: int | None = None
     """
     nodes = _parse_fanout(spec)
     by_name = {n["name"]: n for n in nodes}
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=8)
     key_cols = [f"{n['name']}_key" for n in nodes if n["kind"]]
     kind_of = {f"{n['name']}_key": n["kind"] for n in nodes if n["kind"]}
     all_metrics = [m for n in nodes for m in n["metrics"]]
@@ -889,17 +878,10 @@ def agg_tree_fanout(ds, spec: dict, n_buckets: int | None = None
                 parts.append(g2[union_cols])
         return pd.concat(parts, ignore_index=True)
 
+    # __cardv / __valv join the hash so one hot bucket's distinct
+    # values spread over the exchange instead of piling on one reducer
     hash_cols = (["agg"] + key_cols + (["__cardv"] if has_card else [])
                  + (["__valv"] if has_vals else []))
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # __cardv / __valv join the hash so one hot bucket's distinct
-        # values spread over the exchange instead of piling on one reducer
-        h = pd.util.hash_pandas_object(df[hash_cols], index=False
-                                       ).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % n_buckets).astype(np.int64)
-        return out
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         aggs = {"doc_count": ("doc_count", "sum")}
@@ -907,17 +889,15 @@ def agg_tree_fanout(ds, spec: dict, n_buckets: int | None = None
             aggs[c] = (c, "min" if c.endswith("__min")
                        else "max" if c.endswith("__max") else "sum")
         return (
-            g.drop(columns="__bucket")
-            .groupby(hash_cols, sort=False, dropna=False)
+            g.groupby(hash_cols, sort=False, dropna=False)
             .agg(**aggs)
             .reset_index()
         )
 
-    pipe = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
+    pipe = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384),
+        hash_cols, combine, size_from=ds, bytes_per_row=8,
+        n_buckets=n_buckets,
     )
     if has_card or has_vals:
         # exact cardinality / exact quantiles hold one combined row per

@@ -19,18 +19,8 @@ import pandas as pd
 import pyarrow as pa
 
 from excelastic_ray.analysis import TOKEN_RE
-from excelastic_ray.hashing import resolve_buckets
+from excelastic_ray.hashing import combine_by_key
 from excelastic_ray.pipelines.events import _bucketed_sum_combine
-
-
-def _conv_bucket(b: pa.Table, n_buckets: int) -> pa.Table:
-    """Append the conv-hash bucket column (the one shared bucketing
-    rule for every conversation-grouped op in this module)."""
-    cid = b["conv_id"].to_numpy(zero_copy_only=False)
-    h = pd.util.hash_pandas_object(pd.Series(cid), index=False).to_numpy()
-    return b.append_column(
-        "__bucket", pa.array((h % n_buckets).astype(np.int64))
-    )
 
 
 def conv_stats(ds, n_buckets: int | None = None):
@@ -45,7 +35,6 @@ def conv_stats(ds, n_buckets: int | None = None):
 
     ``n_buckets=None`` auto-sizes by the SCALE.md K rule (one bucket =
     one reducer frame of conv partial rows)."""
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=16)
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         roles = batch["role"].to_numpy(zero_copy_only=False)
@@ -92,17 +81,9 @@ def conv_stats(ds, n_buckets: int | None = None):
 
     # min/max are not additive: the generic sum-combine cannot be used
     # verbatim, so the bucket reducer aggregates each column correctly
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["conv_id"],
-                                       index=False).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % n_buckets).astype(np.int64)
-        return out
-
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return (
-            g.drop(columns="__bucket")
-            .groupby("conv_id", sort=False)
+            g.groupby("conv_id", sort=False)
             .agg(
                 n_turns=("n_turns", "sum"),
                 n_user=("n_user", "sum"),
@@ -116,11 +97,8 @@ def conv_stats(ds, n_buckets: int | None = None):
             .reset_index()
         )
 
-    combined = (
-        partials.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
+    combined = combine_by_key(partials, ["conv_id"], combine, size_from=ds,
+                              bytes_per_row=16, n_buckets=n_buckets)
 
     def finish(batch: pa.Table) -> pa.Table:
         dur = (
@@ -147,7 +125,6 @@ def role_transitions(ds, n_buckets: int | None = None):
     shift compare), so no pair is ever split. The FIRST bucketing is
     corpus-row-sized, so ``n_buckets=None`` auto-sizes by the K rule;
     the final combine's key space is roles², a constant."""
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=64)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -173,12 +150,8 @@ def role_transitions(ds, n_buckets: int | None = None):
             .reset_index()
         )
 
-    partials = (
-        ds.map_batches(lambda b: _conv_bucket(b, n_buckets),
-                       batch_format="pyarrow", batch_size=16384)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    partials = combine_by_key(ds, ["conv_id"], per_bucket, size_from=ds,
+                              bytes_per_row=64, n_buckets=n_buckets)
     return _bucketed_sum_combine(partials, ["from_role", "to_role"],
                                  n_buckets=8)
 
@@ -196,8 +169,6 @@ def tool_funnel(ds, n_buckets: int | None = None):
     batches), but the input first prunes to the three narrow columns —
     the wide ``text`` never enters the shuffle. The final combine's
     key space is tools², a constant."""
-    ds = ds.select_columns(["conv_id", "turn_idx", "tool"])
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=40)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g[g["tool"].notna() & (g["tool"].astype(str) != "")]
@@ -220,11 +191,9 @@ def tool_funnel(ds, n_buckets: int | None = None):
             .reset_index()
         )
 
-    partials = (
-        ds.map_batches(lambda b: _conv_bucket(b, n_buckets),
-                       batch_format="pyarrow", batch_size=16384)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    partials = combine_by_key(
+        ds.select_columns(["conv_id", "turn_idx", "tool"]), ["conv_id"],
+        per_bucket, size_from=ds, bytes_per_row=40, n_buckets=n_buckets,
     )
     return _bucketed_sum_combine(partials, ["from_tool", "to_tool"],
                                  n_buckets=8)
@@ -250,7 +219,6 @@ def context_windows(ds, window: int = 3, n_buckets: int | None = None):
     ``n_buckets=None`` auto-sizes by the K rule with a full-text
     per-row budget (each bucket frame carries the turn text × (window
     + 1) after assembly)."""
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=2048)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -289,12 +257,8 @@ def context_windows(ds, window: int = 3, n_buckets: int | None = None):
             }
         )
 
-    return (
-        ds.map_batches(lambda b: _conv_bucket(b, n_buckets),
-                       batch_format="pyarrow", batch_size=16384)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return combine_by_key(ds, ["conv_id"], per_bucket, size_from=ds,
+                          bytes_per_row=2048, n_buckets=n_buckets)
 
 
 def children_agg(ds, interval_hours: int = 24, child_field: str = "role",
@@ -328,7 +292,6 @@ def children_agg(ds, interval_hours: int = 24, child_field: str = "role",
     """
     from excelastic_ray.pipelines.textstats import trunc6
 
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=16)
     step = np.int64(interval_hours) * 3_600_000_000
 
     def partial(batch: pa.Table) -> pd.DataFrame:
@@ -375,13 +338,6 @@ def children_agg(ds, interval_hours: int = 24, child_field: str = "role",
             )
         return pd.concat(out, ignore_index=True)
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["conv_id"],
-                                       index=False).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % n_buckets).astype(np.int64)
-        return out
-
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         opener = (g[g["ckey"].isna()][["conv_id", "cohort"]]
                   .drop_duplicates("conv_id"))
@@ -393,19 +349,17 @@ def children_agg(ds, interval_hours: int = 24, child_field: str = "role",
                  "n": pd.Series(dtype=np.int64),
                  "len_sum": pd.Series(dtype=np.int64)}
             )
-        j = kids.drop(columns=["cohort", "__bucket"]).merge(
+        j = kids.drop(columns="cohort").merge(
             opener, on="conv_id")  # inner: parentless children drop
         return (j.groupby(["cohort", "ckey"], sort=False)
                 .agg(n=("n", "sum"), len_sum=("len_sum", "sum"))
                 .reset_index())
 
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-        .to_pandas()
-    )
+    fine = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384),
+        ["conv_id"], combine, size_from=ds, bytes_per_row=16,
+        n_buckets=n_buckets,
+    ).to_pandas()
     if not len(fine):
         return pa.table(
             {"cohort": pa.array([], type=pa.timestamp("us")),
@@ -457,8 +411,6 @@ def parent_agg(ds, child_field: str = "tool",
     buckets, so counts add)."""
     from excelastic_ray.pipelines.textstats import trunc6
 
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=16)
-
     def partial(batch: pa.Table) -> pd.DataFrame:
         cid = batch["conv_id"].to_numpy(zero_copy_only=False)
         ti = batch["turn_idx"].to_numpy(zero_copy_only=False)
@@ -492,13 +444,6 @@ def parent_agg(ds, child_field: str = "tool",
             )
         return pd.concat(out, ignore_index=True)
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df["conv_id"],
-                                       index=False).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % n_buckets).astype(np.int64)
-        return out
-
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         opener = (g[g["ckey"].isna()][["conv_id", "olen"]]
                   .drop_duplicates("conv_id"))
@@ -517,13 +462,11 @@ def parent_agg(ds, child_field: str = "tool",
                      len_sum=("olen", "sum"))
                 .reset_index())
 
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-        .to_pandas()
-    )
+    fine = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384),
+        ["conv_id"], combine, size_from=ds, bytes_per_row=16,
+        n_buckets=n_buckets,
+    ).to_pandas()
     if not len(fine):
         return pa.table(
             {"child_key": pa.array([], type=pa.string()),
@@ -591,8 +534,6 @@ def frequent_item_sets(ds, item_col: str = "tool",
             f"need 1 <= min_set_size <= max_set_size, got "
             f"{min_set_size}/{max_set_size}"
         )
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=24)
-
     def partial(batch: pa.Table) -> pd.DataFrame:
         txn = batch[txn_col].to_numpy(zero_copy_only=False)
         item = batch[item_col].to_numpy(zero_copy_only=False)
@@ -608,11 +549,7 @@ def frequent_item_sets(ds, item_col: str = "tool",
                 f"contain '|' (the item_set separator); got "
                 f"{df.loc[bad, 'item'].iloc[0]!r}"
             )
-        df = df.drop_duplicates()
-        h = pd.util.hash_pandas_object(df["txn"],
-                                       index=False).to_numpy()
-        df["__bucket"] = (h % n_buckets).astype(np.int64)
-        return df
+        return df.drop_duplicates()
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         base = g[["txn", "item"]].drop_duplicates()
@@ -648,13 +585,12 @@ def frequent_item_sets(ds, item_col: str = "tool",
         ))
         return pd.concat(frames, ignore_index=True)
 
-    fine = (
+    fine = combine_by_key(
         ds.select_columns([txn_col, item_col])
-        .map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()  # aggregate-sized: itemset space × buckets
-    )
+        .map_batches(partial, batch_format="pyarrow", batch_size=16384),
+        ["txn"], per_bucket, size_from=ds, bytes_per_row=24,
+        n_buckets=n_buckets,
+    ).to_pandas()  # aggregate-sized: itemset space × buckets
     empty = pa.table(
         {"item_set": pa.array([], type=pa.string()),
          "size": pa.array([], type=pa.int64()),

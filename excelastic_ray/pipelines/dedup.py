@@ -42,11 +42,11 @@ import pyarrow as pa
 from excelastic_ray.hashing import (
     FNV_OFFSET as _FNV_OFFSET,
     FNV_PRIME as _FNV_PRIME,
+    combine_by_key,
     default_pool,
     fnv1a_bytes,
     fnv1a_rows,
     fnv1a_str_rows,
-    resolve_buckets,
 )
 from excelastic_ray.pipelines.textstats import _tokenize_batch, trunc6
 
@@ -93,27 +93,11 @@ def add_content_hash(batch: pa.Table, text_col: str = "text",
 N_BUCKETS = 64  # default coarse shuffle buckets: a Ray groupby over
 # millions of tiny key groups pays per-group overhead; bucket by
 # hash(key) % K and run the fine-grained grouping vectorized in pandas
-# inside each bucket. SIZING RULE (SCALE.md): one bucket materializes
-# as one reducer frame, so K must grow with the corpus —
-# K ≈ max(64, 2×cluster cores, shuffled_bytes / 256 MB). Every bucketed
-# operator takes n_buckets for exactly this knob; 64 fits the test
-# corpora.
-
-
-def scaled_buckets(ds, bytes_per_row: int,
-                   target_bytes: int = 256 << 20) -> int:
-    """Bucket count for the sizing rule above. ``ds.count()`` is
-    metadata-only for parquet-backed datasets; for derived datasets
-    (where count would execute the pipeline) callers pass n_buckets
-    explicitly instead."""
-    from excelastic_ray.hashing import default_pool
-
-    try:
-        n = ds.count()
-    except Exception:
-        n = 0
-    return max(64, 2 * (default_pool() + 2),
-               (n * bytes_per_row) // target_bytes + 1 if n else 64)
+# inside each bucket. One bucket materializes as one reducer frame, so
+# K must grow with the corpus: operators whose n_buckets defaults to
+# None size K with hashing.resolve_buckets (SCALE.md rule:
+# max(cluster CPUs, rows × bytes_per_row / 256 MB + 1)); the ones
+# defaulting to this constant take n_buckets for the same knob.
 
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -1392,14 +1376,12 @@ def exact_substr_spans(ds, min_tokens: int = 8, id_col: str = "doc_id",
     from excelastic_ray.pipelines.textstats import _NGRAM_P
 
     L = int(min_tokens)
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=2048)
 
     def emit(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         codes, uniques, row_idx = _tokenize_batch(texts)
         empty = pa.table(
             {
-                "__bucket": pa.array([], type=pa.int64()),
                 "h": pa.array([], type=pa.int64()),
                 id_col: pa.array([], type=pa.int64()),
                 "pos": pa.array([], type=pa.int64()),
@@ -1426,9 +1408,6 @@ def exact_substr_spans(ds, min_tokens: int = 8, id_col: str = "doc_id",
         ids = batch[id_col].to_numpy().astype(np.int64)[rows]
         return pa.table(
             {
-                "__bucket": pa.array(
-                    (h % np.uint64(n_buckets)).astype(np.int64)
-                ),
                 "h": pa.array(h.astype(np.int64)),
                 id_col: pa.array(ids),
                 "pos": pa.array(pos.astype(np.int64)),
@@ -1439,14 +1418,12 @@ def exact_substr_spans(ds, min_tokens: int = 8, id_col: str = "doc_id",
         codes, _ = pd.factorize(g["h"].to_numpy(), sort=False)
         cnt = np.bincount(codes)
         keep = cnt[codes] >= 2
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 id_col: g[id_col].to_numpy()[keep],
                 "pos": g["pos"].to_numpy()[keep],
             }
         )
-        out["__bucket2"] = out[id_col].to_numpy() % n_buckets
-        return out
 
     def merge_spans(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "pos"], kind="mergesort")
@@ -1472,12 +1449,10 @@ def exact_substr_spans(ds, min_tokens: int = 8, id_col: str = "doc_id",
         )
 
     occ = ds.map_batches(emit, batch_format="pyarrow", batch_size=8192)
-    dups = occ.groupby("__bucket").map_groups(
-        dup_occurrences, batch_format="pandas"
-    )
-    return dups.groupby("__bucket2").map_groups(
-        merge_spans, batch_format="pandas"
-    )
+    dups = combine_by_key(occ, ["h"], dup_occurrences, size_from=ds,
+                          bytes_per_row=2048, n_buckets=n_buckets)
+    return combine_by_key(dups, [id_col], merge_spans, size_from=ds,
+                          bytes_per_row=2048, n_buckets=n_buckets)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from excelastic_ray.hashing import resolve_buckets
+from excelastic_ray.hashing import combine_by_key
 from excelastic_ray.pipelines.textstats import trunc6
-
-
-N_USER_BUCKETS = 64  # legacy floor; size per the dedup.N_BUCKETS rule —
-# one bucket is one reducer frame (~48 B × rows / n_buckets).
-# n_buckets=None on the corpus-keyed entry points auto-sizes by the
-# SCALE.md K rule (resolve_buckets).
 
 
 def sessionize(ds, gap_minutes: int = 30, n_buckets: int | None = None):
@@ -37,17 +31,7 @@ def sessionize(ds, gap_minutes: int = 30, n_buckets: int | None = None):
     bucket, but costs O(rows log rows) of vectorized work there, not an
     unbounded per-group pandas session.
     """
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=48)
     gap = np.timedelta64(gap_minutes * 60, "s")
-
-    def bucket(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy().astype(np.int64)
-        with np.errstate(over="ignore"):
-            ubk = (
-                (uid.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(32)
-            ) % np.uint64(n_buckets)
-        return b.append_column("ubk", pa.array(ubk.astype(np.int64)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -89,47 +73,25 @@ def sessionize(ds, gap_minutes: int = 30, n_buckets: int | None = None):
             }
         )
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow", batch_size=16384)
-        .groupby("ubk")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return combine_by_key(ds, ["user_id"], per_bucket, size_from=ds,
+                          bytes_per_row=48, n_buckets=n_buckets)
 
 
-def _bucketed_sum_combine(partials, key_cols: list[str],
-                          n_buckets: int | None = None):
-    """Final combine of partial (n, sum_value) rows via a COARSE hash
-    bucket instead of a fine distributed groupby: a Ray groupby over
-    thousands of tiny (type, window) groups costs seconds of per-group
-    machinery (the round-1 tiny-group pitfall — it regressed tumbling
-    2.4→4 s in round 2's bench); hashing the keys into ~32 reducer
-    frames and doing the fine grouping vectorized in pandas inside each
-    makes the exchange shape independent of group cardinality.
-    ``partials`` is a DERIVED dataset (its metadata row count is
-    unknown without executing), so ``n_buckets=None`` resolves to the
-    cluster-based floor; callers whose partial stream is known-tiny
-    pass a small explicit width."""
-    n_buckets = resolve_buckets(None, n_buckets)
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[key_cols], index=False).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % n_buckets).astype(np.int64)
-        return out
+def _bucketed_sum_combine(partials, key_cols: list[str], *,
+                          size_from=None, n_buckets: int | None = None):
+    """:func:`~excelastic_ray.hashing.combine_by_key` with the sum
+    combine: every non-key column of ``partials`` is an additive
+    partial (a Ray groupby over thousands of tiny (type, window) groups
+    cost seconds of per-group machinery — it regressed tumbling 2.4→4 s
+    in round 2's bench). ``size_from`` is the source dataset the
+    partials derive from; K follows its row count, and without one the
+    unknown-count floor applies."""
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.drop(columns="__bucket")
-            .groupby(key_cols, sort=False)
-            .sum()  # every non-key column is an additive partial
-            .reset_index()
-        )
+        return g.groupby(key_cols, sort=False).sum().reset_index()
 
-    return (
-        partials.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
+    return combine_by_key(partials, key_cols, combine, size_from=size_from,
+                          bytes_per_row=16, n_buckets=n_buckets)
 
 
 def sliding_counts(ds, size_hours: int = 2, step_hours: int = 1):
@@ -162,7 +124,8 @@ def sliding_counts(ds, size_hours: int = 2, step_hours: int = 1):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-    out = _bucketed_sum_combine(partials, ["event_type", "window_start"])
+    out = _bucketed_sum_combine(partials, ["event_type", "window_start"],
+                                size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -203,18 +166,9 @@ def stats_by_type(ds, n_buckets: int = 8):
             .reset_index()
         )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(
-            df["event_type"], index=False
-        ).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % n_buckets).astype(np.int64)
-        return out
-
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         out = (
-            g.drop(columns="__bucket")
-            .groupby("event_type", sort=False)
+            g.groupby("event_type", sort=False)
             .agg(
                 n=("n", "sum"),
                 sum_value=("sum_value", "sum"),
@@ -233,11 +187,8 @@ def stats_by_type(ds, n_buckets: int = 8):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    return (
-        partials.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
+    return combine_by_key(partials, ["event_type"], combine, size_from=ds,
+                          bytes_per_row=16, n_buckets=n_buckets)
 
 
 def distinct_users(ds, n_buckets: int | None = None):
@@ -252,23 +203,13 @@ def distinct_users(ds, n_buckets: int | None = None):
     count is a small sum of n_buckets partial rows — no global distinct
     structure anywhere. Reducer memory is O(unique pairs / n_buckets);
     ``n_buckets=None`` auto-sizes per the SCALE.md K rule."""
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=16)
-
     def partial(batch: pa.Table) -> pd.DataFrame:
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "event_type": batch["event_type"].to_pandas(),
                 "user_id": batch["user_id"].to_numpy().astype(np.int64),
             }
         ).drop_duplicates()
-        uid = df["user_id"].to_numpy()
-        with np.errstate(over="ignore"):
-            ubk = (
-                (uid.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(32)
-            ) % np.uint64(n_buckets)
-        df["ubk"] = ubk.astype(np.int64)
-        return df
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -286,10 +227,10 @@ def distinct_users(ds, n_buckets: int | None = None):
             .reset_index()
         )
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .groupby("ubk")
-        .map_groups(per_bucket, batch_format="pandas")
+    counts = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384),
+        ["user_id"], per_bucket, size_from=ds, bytes_per_row=16,
+        n_buckets=n_buckets,
     )
     # n_buckets × n_types tiny rows remain; one small final groupby
     return counts.groupby("event_type").map_groups(
@@ -388,7 +329,8 @@ def tumbling_counts(ds, hours: int = 1):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-    out = _bucketed_sum_combine(partials, ["event_type", "window_start"])
+    out = _bucketed_sum_combine(partials, ["event_type", "window_start"],
+                                size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -435,7 +377,7 @@ def value_histogram(ds, interval: float = 0.5, col: str = "value"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    out = _bucketed_sum_combine(partials, ["bucket_lo"])
+    out = _bucketed_sum_combine(partials, ["bucket_lo"], size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy()
@@ -494,7 +436,7 @@ def range_agg(ds, ranges, col: str = "value"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    out = _bucketed_sum_combine(partials, ["range_key"])
+    out = _bucketed_sum_combine(partials, ["range_key"], size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy()
@@ -530,7 +472,7 @@ def percentile_ranks(ds, values, col: str = "value"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    out = _bucketed_sum_combine(partials, ["value"])
+    out = _bucketed_sum_combine(partials, ["value"], size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         le = batch["le"].to_numpy().astype(np.float64)
@@ -708,7 +650,8 @@ def composite_agg(ds, size: int = 10, after: tuple | None = None,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    buckets = _bucketed_sum_combine(partials, ["event_type", "day"])
+    buckets = _bucketed_sum_combine(partials, ["event_type", "day"],
+                                    size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         et = batch["event_type"].to_pandas().to_numpy(dtype=object)
@@ -766,7 +709,7 @@ def date_histogram_pipeline(ds, hours: int = 24, window: int = 3):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    buckets = _bucketed_sum_combine(partials, ["window_start"])
+    buckets = _bucketed_sum_combine(partials, ["window_start"], size_from=ds)
 
     def scan(batch: pa.Table) -> pa.Table:
         order = np.argsort(batch["window_start"].to_numpy(), kind="stable")
@@ -828,7 +771,7 @@ def pipeline_diffs(ds, hours: int = 24, lag: int = 2, window: int = 4,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    buckets = _bucketed_sum_combine(partials, ["window_start"])
+    buckets = _bucketed_sum_combine(partials, ["window_start"], size_from=ds)
 
     def scan(batch: pa.Table) -> pa.Table:
         order = np.argsort(batch["window_start"].to_numpy(), kind="stable")
@@ -898,7 +841,7 @@ def bucket_metrics(ds, hours: int = 24):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    buckets = _bucketed_sum_combine(partials, ["window_start"])
+    buckets = _bucketed_sum_combine(partials, ["window_start"], size_from=ds)
 
     def reduce_(batch: pa.Table) -> pa.Table:
         order = np.argsort(batch["window_start"].to_numpy(), kind="stable")
@@ -965,7 +908,7 @@ def normalize_buckets(ds, hours: int = 24, method: str = "rescale_0_1"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    buckets = _bucketed_sum_combine(partials, ["window_start"])
+    buckets = _bucketed_sum_combine(partials, ["window_start"], size_from=ds)
 
     def scan(batch: pa.Table) -> pa.Table:
         order = np.argsort(batch["window_start"].to_numpy(), kind="stable")
@@ -1041,7 +984,7 @@ def filters_agg(ds, named_filters: dict[str, dict], col: str = "value"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    out = _bucketed_sum_combine(partials, ["filter_key"])
+    out = _bucketed_sum_combine(partials, ["filter_key"], size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy()
@@ -1092,7 +1035,7 @@ def bucket_script_selector(ds, hours: int = 24,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    buckets = _bucketed_sum_combine(partials, ["window_start"])
+    buckets = _bucketed_sum_combine(partials, ["window_start"], size_from=ds)
 
     def script_and_select(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy().astype(np.int64)
@@ -1171,7 +1114,7 @@ def auto_date_histogram(ds, target_buckets: int = 20):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=16384)
-    out = _bucketed_sum_combine(partials, ["window_start"])
+    out = _bucketed_sum_combine(partials, ["window_start"], size_from=ds)
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1295,7 +1238,7 @@ def multi_terms(ds, keys=("event_type", "user_id"), size: int = 10):
         return df.groupby(keys, sort=False).agg(n=("n", "sum")).reset_index()
 
     p = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    comb = _bucketed_sum_combine(p, keys)
+    comb = _bucketed_sum_combine(p, keys, size_from=ds)
 
     def topn(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(
@@ -1542,7 +1485,6 @@ def cumulative_cardinality(ds, user_col: str = "user_id",
 
     → pandas.DataFrame (day, n_new, cum_users) sorted by day."""
     day_us = np.int64(86_400_000_000)
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=16)
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         u = batch[user_col].to_numpy().astype(np.int64)
@@ -1551,13 +1493,7 @@ def cumulative_cardinality(ds, user_col: str = "user_id",
         )
         day = (ts // day_us) * day_us
         df = pd.DataFrame({"u": u, "d": day})
-        out = df.groupby("u", sort=False)["d"].min().reset_index()
-        with np.errstate(over="ignore"):
-            out["bucket"] = (
-                (out["u"].to_numpy().view(np.uint64)
-                 * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)
-            ).astype(np.int64) % n_buckets
-        return out
+        return df.groupby("u", sort=False)["d"].min().reset_index()
 
     def first_seen(g: pd.DataFrame) -> pd.DataFrame:
         f = g.groupby("u", sort=False)["d"].min()
@@ -1566,12 +1502,12 @@ def cumulative_cardinality(ds, user_col: str = "user_id",
             {"d": cnt.index.to_numpy(), "n_new": cnt.to_numpy()}
         )
 
-    per_day = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(first_seen, batch_format="pandas")
+    per_day = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["u"], first_seen, size_from=ds, bytes_per_row=16,
+        n_buckets=n_buckets,
     )
-    days = _bucketed_sum_combine(per_day, ["d"]).to_pandas()
+    days = _bucketed_sum_combine(per_day, ["d"], size_from=ds).to_pandas()
     days = days.sort_values("d").reset_index(drop=True)
     return pd.DataFrame(
         {
@@ -1605,7 +1541,7 @@ def missing_agg(ds, attr_col: str, group_col: str):
 
     out = _bucketed_sum_combine(
         ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
-        [group_col],
+        [group_col], size_from=ds,
     )
     return out.sort(group_col)
 
@@ -1652,17 +1588,9 @@ def scripted_metric(ds, map_script: str, group_col: str = "event_type",
         out = g.agg(n="size", v_sum="sum", v_min="min", v_max="max")
         return out.reset_index()
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[group_col],
-                                       index=False).to_numpy()
-        out = df.copy()
-        out["__bucket"] = (h % 32).astype(np.int64)
-        return out
-
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         out = (
-            g.drop(columns="__bucket")
-            .groupby(group_col, sort=False)
+            g.groupby(group_col, sort=False)
             .agg(n=("n", "sum"), v_sum=("v_sum", "sum"),
                  v_min=("v_min", "min"), v_max=("v_max", "max"))
             .reset_index()
@@ -1680,9 +1608,5 @@ def scripted_metric(ds, map_script: str, group_col: str = "event_type",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536)
-    return (
-        partials.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-        .sort(group_col)
-    )
+    return combine_by_key(partials, [group_col], combine, size_from=ds,
+                          bytes_per_row=16).sort(group_col)

@@ -24,8 +24,8 @@ without a global sort):
    ``n_buckets`` ranges (computed from one min/max aggregate pass over
    the narrow dataset), so cross-bucket order equals doc_id order by
    construction — no sort shuffle anywhere. Assumes roughly uniform
-   doc_id coverage; with K = ``scaled_buckets``-style sizing a hot
-   bucket degrades to corpus/K rows in one group, never the corpus.
+   doc_id coverage; a hot bucket degrades to corpus/K rows in one
+   group, never the corpus.
 3. Per-bucket token sums (``groupby(bucket).sum``, K rows) come to the
    driver — O(K), never O(docs) — and an exclusive scan over them
    yields each bucket's global token offset, broadcast via the closure.

@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 
 from excelastic_ray.analysis import TOKEN_RE
-from excelastic_ray.hashing import fnv1a_rows, resolve_buckets
+from excelastic_ray.hashing import combine_by_key, fnv1a_rows
 
 # Tiny per-language stopword lists (the langid heuristic). Keep in exact
 # lockstep with the SQL lists in __ray_entry__.py.
@@ -258,38 +258,29 @@ def term_df(ds, text_col: str = "text", n_buckets: int | None = None):
     combines); bucketing keys into coarse reducer frames with a
     vectorized pandas groupby inside each is cardinality-independent.
     ``n_buckets=None`` auto-sizes by the SCALE.md K rule."""
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=8)
 
     def partial(batch: pa.Table) -> pa.Table:
         codes, uniques, row_idx = _tokenize_batch(batch[text_col].to_pylist())
         if not len(codes):
             return pa.table({"term": pa.array([], type=pa.string()),
                              "df": pa.array([], type=pa.int64()),
-                             "cf": pa.array([], type=pa.int64()),
-                             "__bucket": pa.array([], type=pa.int64())})
+                             "cf": pa.array([], type=pa.int64())})
         cf = np.bincount(codes, minlength=len(uniques)).astype(np.int64)
         pair = pd.DataFrame({"r": row_idx, "c": codes}).drop_duplicates()
         df = np.bincount(pair["c"].to_numpy(), minlength=len(uniques)).astype(np.int64)
-        bucket = (
-            fnv1a_rows([str(u).encode() for u in uniques])
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
         return pa.table({"term": pa.array(uniques.astype(str)),
-                         "df": pa.array(df), "cf": pa.array(cf),
-                         "__bucket": pa.array(bucket)})
+                         "df": pa.array(df), "cf": pa.array(cf)})
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return (
-            g.drop(columns="__bucket")
-            .groupby("term", sort=False)
+            g.groupby("term", sort=False)
             .agg(df=("df", "sum"), cf=("cf", "sum"))
             .reset_index()
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
-    return partials.groupby("__bucket").map_groups(
-        combine, batch_format="pandas"
-    )
+    return combine_by_key(partials, ["term"], combine, size_from=ds,
+                          bytes_per_row=8, n_buckets=n_buckets)
 
 
 def token_quantiles(ds, qs=(0.5, 0.9, 0.99), id_col: str = "doc_id",
@@ -519,9 +510,6 @@ def significant_terms(ds, fg_col: str = "source", fg_value: str = "src0",
 
     → pyarrow.Table (rank, term, fg_df, df, score), score trunc6'd.
     """
-    from excelastic_ray.hashing import fnv1a_rows
-
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=8)
     _SENTINEL = "\x00__totals__"
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -543,29 +531,24 @@ def significant_terms(ds, fg_col: str = "source", fg_value: str = "src0",
             terms += [str(u) for u in uniques]
             dfs += df.tolist()
             fg_dfs += fg_df.tolist()
-        bucket = (
-            fnv1a_rows([t.encode() for t in terms]) % np.uint64(n_buckets)
-        ).astype(np.int64)
         return pa.table({
             "term": pa.array(terms, type=pa.string()),
             "df": pa.array(dfs, type=pa.int64()),
             "fg_df": pa.array(fg_dfs, type=pa.int64()),
-            "__bucket": pa.array(bucket),
         })
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return (
-            g.drop(columns="__bucket")
-            .groupby("term", sort=False)
+            g.groupby("term", sort=False)
             .agg(df=("df", "sum"), fg_df=("fg_df", "sum"))
             .reset_index()
         )
 
-    combined = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=8192)
-        .groupby("__bucket").map_groups(combine, batch_format="pandas")
-        .materialize()
-    )
+    combined = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=8192),
+        ["term"], combine, size_from=ds, bytes_per_row=8,
+        n_buckets=n_buckets,
+    ).materialize()
     def _sentinel_only(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -654,10 +637,6 @@ def lm_score(ds, min_count: int = 2, k_smooth: float = 0.1,
     """
     import ray
 
-    from excelastic_ray.hashing import fnv1a_rows
-
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=8)
-
     def uni_partial(batch: pa.Table) -> pa.Table:
         codes, uniques, _ = _tokenize_batch(batch[text_col].to_pylist())
         if len(codes):
@@ -665,26 +644,17 @@ def lm_score(ds, min_count: int = 2, k_smooth: float = 0.1,
             terms = [str(u) for u in uniques]
         else:
             terms, c = [], np.zeros(0, dtype=np.int64)
-        bucket = (
-            fnv1a_rows([t.encode() for t in terms]) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return pa.table({
-            "term": pa.array(terms, type=pa.string()),
-            "c": pa.array(c),
-            "__bucket": pa.array(bucket),
-        })
+        return pa.table({"term": pa.array(terms, type=pa.string()),
+                         "c": pa.array(c)})
 
     def uni_combine(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.drop(columns="__bucket")
-            .groupby("term", sort=False)["c"].sum().reset_index()
-        )
+        return g.groupby("term", sort=False)["c"].sum().reset_index()
 
-    ucnt_ds = (
-        ds.map_batches(uni_partial, batch_format="pyarrow", batch_size=8192)
-        .groupby("__bucket").map_groups(uni_combine, batch_format="pandas")
-        .materialize()
-    )
+    ucnt_ds = combine_by_key(
+        ds.map_batches(uni_partial, batch_format="pyarrow", batch_size=8192),
+        ["term"], uni_combine, size_from=ds, bytes_per_row=8,
+        n_buckets=n_buckets,
+    ).materialize()
     n_raw_terms = ucnt_ds.count()
     if n_raw_terms > vocab_budget:
         raise ValueError(
@@ -728,23 +698,17 @@ def lm_score(ds, min_count: int = 2, k_smooth: float = 0.1,
         _, c1, c2, _ = mapped_pairs(batch)
         keys, cnts = np.unique(c1 * np.int64(v_total) + c2,
                                return_counts=True)
-        return pa.table({
-            "key": pa.array(keys.astype(np.int64)),
-            "c": pa.array(cnts.astype(np.int64)),
-            "__bucket": pa.array((keys % n_buckets).astype(np.int64)),
-        })
+        return pa.table({"key": pa.array(keys.astype(np.int64)),
+                         "c": pa.array(cnts.astype(np.int64))})
 
     def bi_combine(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.drop(columns="__bucket")
-            .groupby("key", sort=False)["c"].sum().reset_index()
-        )
+        return g.groupby("key", sort=False)["c"].sum().reset_index()
 
-    bcnt_ds = (
-        ds.map_batches(bi_partial, batch_format="pyarrow", batch_size=8192)
-        .groupby("__bucket").map_groups(bi_combine, batch_format="pandas")
-        .materialize()
-    )
+    bcnt_ds = combine_by_key(
+        ds.map_batches(bi_partial, batch_format="pyarrow", batch_size=8192),
+        ["key"], bi_combine, size_from=ds, bytes_per_row=8,
+        n_buckets=n_buckets,
+    ).materialize()
     n_bigram_keys = bcnt_ds.count()
     if n_bigram_keys > bigram_budget:
         raise ValueError(
@@ -882,16 +846,12 @@ def dup_ngram_stats(ds, n: int = 3, id_col: str = "doc_id",
     ``n_buckets=None`` auto-sizes per doc COUNT × ~2 KB (the occurrence
     exchange is token-sized — one 24 B row per n-gram occurrence, so
     the per-row budget assumes ~100 tokens/doc)."""
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=2048)
 
     def emit(batch: pa.Table) -> pa.Table:
         h, rows = _ngram_occurrences(batch[text_col].to_pylist(), n)
         ids = batch[id_col].to_numpy()[rows] if len(rows) else rows
         return pa.table(
             {
-                "__bucket": pa.array(
-                    (h % np.uint64(n_buckets)).astype(np.int64)
-                ),
                 "h": pa.array(h.astype(np.int64)),
                 id_col: pa.array(ids.astype(np.int64)),
             }
@@ -901,14 +861,12 @@ def dup_ngram_stats(ds, n: int = 3, id_col: str = "doc_id",
         codes, _ = pd.factorize(g["h"].to_numpy(), sort=False)
         cnt = np.bincount(codes)
         dup = (cnt[codes] >= 2).astype(np.int64)
-        out = (
+        return (
             pd.DataFrame({id_col: g[id_col].to_numpy(), "dup": dup})
             .groupby(id_col, sort=False)
             .agg(occ=("dup", "size"), dup=("dup", "sum"))
             .reset_index()
         )
-        out["__bucket2"] = out[id_col].to_numpy() % n_buckets
-        return out
 
     def per_doc(g: pd.DataFrame) -> pd.DataFrame:
         s = (
@@ -922,12 +880,10 @@ def dup_ngram_stats(ds, n: int = 3, id_col: str = "doc_id",
         return s[[id_col, "n_ngrams", "dup_frac"]]
 
     occ = ds.map_batches(emit, batch_format="pyarrow", batch_size=8192)
-    partials = occ.groupby("__bucket").map_groups(
-        per_hash_bucket, batch_format="pandas"
-    )
-    return partials.groupby("__bucket2").map_groups(
-        per_doc, batch_format="pandas"
-    )
+    partials = combine_by_key(occ, ["h"], per_hash_bucket, size_from=ds,
+                              bytes_per_row=2048, n_buckets=n_buckets)
+    return combine_by_key(partials, [id_col], per_doc, size_from=ds,
+                          bytes_per_row=2048, n_buckets=n_buckets)
 
 
 def rare_terms(ds, max_df: int = 2, k: int = 50,
@@ -984,10 +940,7 @@ def dsir_importance(ds, target: tuple[str, str] = ("lang", "en"),
     → Dataset (id, n_tokens, logratio_u6, avg_logratio)."""
     import ray
 
-    from excelastic_ray.hashing import fnv1a_rows
-
     tgt_col, tgt_val = target
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=8)
     _SENT = "\x00__totals__"
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1008,29 +961,18 @@ def dsir_importance(ds, target: tuple[str, str] = ("lang", "en"),
                 codes[is_tgt[row_idx]], minlength=len(uniques)
             ).astype(np.int64).tolist()
             terms += [str(u) for u in uniques]
-        bucket = (
-            fnv1a_rows([t.encode() for t in terms])
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
         return pa.table({"term": pa.array(terms, type=pa.string()),
                          "c_all": pa.array(c_all, type=pa.int64()),
-                         "c_tgt": pa.array(c_tgt, type=pa.int64()),
-                         "__bucket": pa.array(bucket)})
+                         "c_tgt": pa.array(c_tgt, type=pa.int64())})
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.drop(columns="__bucket")
-            .groupby("term", sort=False)
-            .sum()
-            .reset_index()
-        )
+        return g.groupby("term", sort=False).sum().reset_index()
 
-    vocab_ds = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384)
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-        .materialize()
-    )
+    vocab_ds = combine_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=16384),
+        ["term"], combine, size_from=ds, bytes_per_row=8,
+        n_buckets=n_buckets,
+    ).materialize()
     # budget gate (materialize → count → collect-or-cap): the combined
     # vocab frame is vocabulary-sized; past max_vocab the cap runs as
     # a DISTRIBUTED sort + limit so the driver only ever collects the
@@ -1287,7 +1229,7 @@ def string_stats(ds, text_col: str = "text"):
         _bucketed_sum_combine(
             pruned.map_batches(char_partial, batch_format="pyarrow",
                                batch_size=65536),
-            ["c"],
+            ["c"], size_from=pruned,
         )
         .to_pandas()  # alphabet-sized, never rows
         .sort_values("c")
@@ -1434,15 +1376,12 @@ def categorize_text(ds, text_col: str = "text", n_tokens: int = 4,
     UNIQUE tokens, never per occurrence), coarse hash-bucket combine,
     then a ``size``-row sort+limit — the shuffle moves O(batches ×
     categories) tiny rows, never docs."""
-    n_buckets = resolve_buckets(ds, n_buckets, bytes_per_row=48)
 
     def partial(batch: pa.Table) -> pa.Table:
         codes, uniques, row_idx = _tokenize_batch(batch[text_col].to_pylist())
-        empty = pa.table({"category": pa.array([], type=pa.string()),
-                          "doc_count": pa.array([], type=pa.int64()),
-                          "__bucket": pa.array([], type=pa.int64())})
         if not len(codes):
-            return empty
+            return pa.table({"category": pa.array([], type=pa.string()),
+                             "doc_count": pa.array([], type=pa.int64())})
         has_digit = (
             pd.Series(uniques, dtype=object)
             .str.contains(r"[0-9]", regex=True)
@@ -1461,29 +1400,21 @@ def categorize_text(ds, text_col: str = "text", n_tokens: int = 4,
             .agg(" ".join)
         )
         vc = cats.value_counts()
-        cat_arr = vc.index.to_numpy(dtype=object)
-        bucket = (
-            fnv1a_rows([c.encode() for c in cat_arr])
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
         return pa.table({
-            "category": pa.array(cat_arr.astype(str)),
+            "category": pa.array(vc.index.to_numpy(dtype=object).astype(str)),
             "doc_count": pa.array(vc.to_numpy().astype(np.int64)),
-            "__bucket": pa.array(bucket),
         })
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return (
-            g.drop(columns="__bucket")
-            .groupby("category", sort=False)
+            g.groupby("category", sort=False)
             .agg(doc_count=("doc_count", "sum"))
             .reset_index()
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=8192)
-    combined = partials.groupby("__bucket").map_groups(
-        combine, batch_format="pandas"
-    )
+    combined = combine_by_key(partials, ["category"], combine, size_from=ds,
+                              bytes_per_row=48, n_buckets=n_buckets)
     return combined.sort(["doc_count", "category"],
                          descending=[True, False]).limit(size)

@@ -85,3 +85,27 @@ def test_report_counts_a_missing_change_result_as_a_loss():
         r["result"] = None
     row = qps_row(bench_diff.report(runs))
     assert " 8/10 " in row and row.endswith("same")
+
+
+def test_report_gives_a_fixed_seed_bootstrap_interval_beside_the_verdict():
+    par = [100, 104, 97, 110, 101, 99, 103, 95, 108, 100]
+    chg = [60, 58, 66, 61, 52, 63, 57, 70, 59, 62]
+    runs = []
+    for seed, (p, c) in enumerate(zip(par, chg)):
+        for side, v in (("parent", p), ("change", c)):
+            runs.append({"side": side, "workload": "short_turns",
+                         "seed": seed,
+                         "result": {"failed": 0, "attempted": 10,
+                                    "metrics": {"aggregate_s":
+                                                {"value": float(v)}}}})
+    out = bench_diff.report(runs)
+    row = next(line for line in out.splitlines()
+               if line.startswith("aggregate_s"))
+    # the interval sits between the median ratio and the verdict, which
+    # it does not change
+    assert row.split()[-5:] == ["10/10", "0.579", "[0.552,", "0.640]",
+                                "gain"]
+    lo, hi = bench_diff.ratio_interval([c / p for p, c in zip(par, chg)])
+    assert (round(lo, 6), round(hi, 6)) == (0.551994, 0.640206)
+    assert bench_diff.report(runs) == out  # same log, same interval
+    assert bench_diff.ratio_interval([0.5]) is None

@@ -116,3 +116,44 @@ def test_reindex_all_null_attr_column(tmp_path, ray_session):
     a, b = QueryEngine(src), QueryEngine(dst)
     assert a.reader.n_docs == b.reader.n_docs == n
     assert a.search("alpha", k=50).equals(b.search("alpha", k=50))
+
+
+def test_reindex_runs_no_schema_probe(src, tmp_path, monkeypatch):
+    """reindex takes its columns from the docstore's Parquet footer.
+    Asking Ray Data for the schema of ``live_source`` (a Dataset ending
+    in ``map_batches``) would run it up to its first block, and a cancel
+    of that run can abort Ray's core worker; so no ``Dataset.schema()``
+    call may happen, and the result still equals a from-scratch build
+    of the live, overlaid corpus."""
+    import ray.data as rd
+
+    path, table = src
+    eng = QueryEngine(path)
+    assert eng.delete_by_query(filters={"role": "tool"}) > 0
+    QueryEngine(path).update_by_query(filters={"role": "user"},
+                                      set_values={"tool": "archived"})
+
+    real_schema = rd.Dataset.schema
+
+    def refuse(self, fetch_if_missing=True):
+        # Ray's own key checks pass fetch_if_missing=False: never runs
+        if fetch_if_missing:
+            raise AssertionError("Dataset.schema() called during reindex")
+        return real_schema(self, fetch_if_missing=False)
+
+    dst = str(tmp_path / "dst")
+    with monkeypatch.context() as m:
+        m.setattr(rd.Dataset, "schema", refuse)
+        reindex(path, dst)
+
+    df = table.to_pandas()
+    df = df[df["role"] != "tool"].copy()
+    df.loc[df["role"] == "user", "tool"] = "archived"
+    ref = str(tmp_path / "ref")
+    build_index(rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
+                ref, CFG, clear=True, strict_turns=False)
+    a, b = QueryEngine(dst), QueryEngine(ref)
+    assert a.reader.n_docs == b.reader.n_docs == len(df)
+    for q in ("the run", "call tool", "ok a of"):
+        assert a.search(q, k=100).equals(b.search(q, k=100))
+    assert a.facets("the", "tool") == b.facets("the", "tool")

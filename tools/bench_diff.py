@@ -30,6 +30,12 @@ repository's rules for a gain or a regression:
   distance over median) is wider than the bound, and not every run of the
   change reads better than every run of the parent;
 - ``same`` otherwise. Per-layer metrics have no bound: gain or ``-``.
+
+Next to the verdict, not in place of it, each row gives a 95% bootstrap
+interval on the median paired ratio: the pairs' ratios are resampled
+with replacement 2000 times, with a fixed seed so a log always reports
+the same interval, and the 2.5th and 97.5th percentiles of the
+resampled medians are printed.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -131,6 +138,18 @@ def quartiles(v: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def ratio_interval(ratios: list[float], n: int = 2000,
+                   seed: int = 0) -> tuple[float, float] | None:
+    """95% percentile-bootstrap interval on the median of ``ratios``
+    (None for fewer than two)."""
+    if len(ratios) < 2:
+        return None
+    rng = random.Random(seed)
+    meds = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                  for _ in range(n))
+    return meds[int(0.025 * n)], meds[int(0.975 * n) - 1]
+
+
 def verdict(spec: dict, par: list[float], chg: list[float], wins: int,
             pairs: int, more_failures: bool = False) -> str:
     """``par`` and ``chg`` are each side's values; ``pairs`` counts every
@@ -181,7 +200,7 @@ def report(runs: list[dict]) -> str:
                    + ("; the change fails more" if more_failures else ""))
         out.append(f"{'metric':34} {'parent med [q1, q3]':>30} "
                    f"{'change med [q1, q3]':>30} {'wins':>7} "
-                   f"{'ratio':>7}  verdict")
+                   f"{'ratio':>7} {'95% interval':>16}  verdict")
         names = [n for n in specs
                  if any(x and n in x["metrics"]
                         for side in SIDES for x in res[side])]
@@ -202,6 +221,8 @@ def report(runs: list[dict]) -> str:
             wins = sum(sign * (c - p) > 0 for p, c in both)
             ratios = [c / p for p, c in both if p]
             ratio = f"{statistics.median(ratios):.3f}" if ratios else "-"
+            ci = ratio_interval(ratios)
+            ci = f"[{ci[0]:.3f}, {ci[1]:.3f}]" if ci else "-"
 
             def cell(v):
                 q1, med, q3 = quartiles(v)
@@ -209,7 +230,7 @@ def report(runs: list[dict]) -> str:
 
             v = verdict(spec, par, chg, wins, len(pairs), more_failures)
             out.append(f"{name:34} {cell(par):>30} {cell(chg):>30} "
-                       f"{wins:>3}/{len(pairs):<3} {ratio:>7}  {v}")
+                       f"{wins:>3}/{len(pairs):<3} {ratio:>7} {ci:>16}  {v}")
     return "\n".join(out)
 
 
