@@ -410,101 +410,14 @@ def encode_postings_many(
     return out_p, out_b, out_n
 
 
-def _first_varint(buf: bytes) -> tuple[int, int]:
-    """(value, encoded_length) of the first varint in buf."""
-    val = 0
-    shift = 0
-    for i, byte in enumerate(buf):
-        val |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return val, i + 1
-        shift += 7
-    raise ValueError("truncated varint")
-
-
-def _one_varint(val: int) -> bytes:
-    out = bytearray()
-    while True:
-        b = val & 0x7F
-        val >>= 7
-        if val:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def merge_encoded_postings(
-    subs: list[tuple[bytes, bytes]],
-    offsets: list[int],
-    codec: str = "varint",
-    block_size: int = 128,
-) -> tuple[bytes, bytes, int]:
-    """Merge encoded sub-postings whose id ranges are disjoint and
-    ascending (sub j's ids, after adding ``offsets[j]``, all exceed sub
-    j-1's). For the varint codec this is an O(bytes) splice: only the
-    FIRST delta of each sub changes (it must encode the jump from the
-    previous sub's last id), the rest of both streams is copied
-    verbatim, and block-max rows are rebased. Blocks stay as encoded, so
-    merged lists have ragged block sizes at splice seams — the ``count``
-    field in BLOCKMAX_DTYPE carries per-block sizes. blockpack falls
-    back to decode + re-encode.
-    """
-    if len(subs) == 1 and offsets[0] == 0:
-        p, b = subs[0]
-        return p, b, len(b) // BLOCKMAX_DTYPE.itemsize
-
-    if codec != "varint":
-        # blockpack streams are per-block framed; the caller re-encodes
-        # with real doc lengths instead (SegmentMerger blockpack path).
-        raise NotImplementedError("splice merge is varint-only")
-
-    d_parts: list[bytes] = []
-    t_parts: list[bytes] = []
-    bm_parts: list[np.ndarray] = []
-    n_total = 0
-    d_len = 0
-    t_len = 0
-    prev_last = 0
-    for (p, b), off in zip(subs, offsets):
-        mv = memoryview(p)
-        n_j, len_d_j = (int(x) for x in np.frombuffer(mv, dtype="<u4", count=2))
-        d_j = bytes(mv[8 : 8 + len_d_j])
-        t_j = bytes(mv[8 + len_d_j :])
-        first_val, first_len = _first_varint(d_j)
-        new_first = _one_varint(first_val + off - prev_last)
-        shift = len(new_first) - first_len
-
-        bm_j = np.frombuffer(b, dtype=BLOCKMAX_DTYPE).copy()
-        bm_j["last_id"] += off
-        bm_j["off_d"][1:] += shift
-        bm_j["off_d"] += d_len
-        bm_j["off_tf"] += t_len
-
-        d_parts.append(new_first)
-        d_parts.append(d_j[first_len:])
-        t_parts.append(t_j)
-        bm_parts.append(bm_j)
-        d_len += len_d_j + shift
-        t_len += len(t_j)
-        n_total += n_j
-        prev_last = int(bm_j["last_id"][-1])
-
-    d_buf = b"".join(d_parts)
-    t_buf = b"".join(t_parts)
-    bm = np.concatenate(bm_parts)
-    header = np.array([n_total, len(d_buf)], dtype="<u4").tobytes()
-    return header + d_buf + t_buf, bm.tobytes(), len(bm)
-
-
 def decode_postings(
     postings: bytes | memoryview,
     codec: str = "varint",
     block_size: int = 128,
     bm: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a full posting list → (ids int64 asc, tfs int32). For
-    blockpack, ``bm`` supplies per-block counts (required if ragged)."""
+    """Decode a full posting list → (ids int64 asc, tfs int32). The
+    streams decode without the block table; ``bm`` is not read."""
     mv = memoryview(postings)
     n, len_d = np.frombuffer(mv, dtype="<u4", count=2)
     n, len_d = int(n), int(len_d)
@@ -518,7 +431,9 @@ def decode_postings(
 class PostingList:
     """Random-access view over one encoded posting list + its block-max
     metadata. Blocks decode lazily — the unit block-max WAND skips over.
-    Block sizes come from bm["count"] (ragged at merge splice seams)."""
+    Block sizes come from bm["count"]: every block holds ``block_size``
+    postings but the last, and varint shards merged by older builds
+    also have short blocks at the seams between chunks."""
 
     __slots__ = ("n", "n_blocks", "block_size", "codec", "bm", "_mv", "_p", "_len_d")
 

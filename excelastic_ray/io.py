@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+
+#: Ray Data resolves a read's filesystem with a lazy
+#: ``from fsspec.implementations.http import HTTPFileSystem``. Without
+#: aiohttp that import fails on every call, and two threads failing it
+#: at once can see the half-imported module: one then raises
+#: ImportError where Ray expects ModuleNotFoundError, and its build
+#: fails. Concurrent builds in one process take turns here.
+_READ_LOCK = threading.Lock()
+
 
 def read_parquet_clean(paths, **kwargs):
     """``ray.data.read_parquet`` with the schema's key-value metadata
@@ -32,4 +42,5 @@ def read_parquet_clean(paths, **kwargs):
             kwargs["schema"] = schema
         except Exception:
             pass  # fall back to Ray's own inference
-    return rd.read_parquet(paths, **kwargs)
+    with _READ_LOCK:
+        return rd.read_parquet(paths, **kwargs)

@@ -1,5 +1,6 @@
-"""Property-based codec tests (hypothesis): round-trips, batch-encode
-equivalence, and splice-merge equivalence over adversarial shapes."""
+"""Property-based codec tests (hypothesis): round-trips and batch-encode
+equivalence over adversarial shapes. The shard merge's properties are
+in tests/test_merge_property.py."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from excelastic_ray.codecs import (
     decode_postings,
     encode_postings,
     encode_postings_many,
-    merge_encoded_postings,
     varint_decode,
     varint_encode,
 )
@@ -68,37 +68,6 @@ def test_postings_roundtrip_property(data, codec, block_size):
         cat_t.append(bt)
     assert (np.concatenate(cat_i) == ids).all()
     assert (np.concatenate(cat_t) == tfs).all()
-
-
-@given(
-    st.lists(small_posting_lists, min_size=1, max_size=6),
-    st.sampled_from([4, 64]),
-)
-@settings(max_examples=60, deadline=None)
-def test_splice_merge_equals_reencode(parts, block_size):
-    """merge_encoded_postings over disjoint ascending ranges must decode
-    identically to encoding the concatenation directly."""
-    subs, offs = [], []
-    cat_ids, cat_tfs = [], []
-    off = 0
-    for ids_l, tfs_l, dls_l in parts:
-        ids = np.sort(np.asarray(ids_l, dtype=np.int64))
-        tfs = np.asarray(tfs_l, dtype=np.int64)
-        dls = np.asarray(dls_l, dtype=np.int64)
-        p, b, _ = encode_postings(ids, tfs, dls, "varint", block_size)
-        subs.append((p, b))
-        offs.append(off)
-        cat_ids.append(ids + off)
-        cat_tfs.append(tfs)
-        off += 100_001  # ranges are disjoint and ascending
-    post, bm, nb = merge_encoded_postings(subs, offs, "varint", block_size)
-    got_ids, got_tfs = decode_postings(post, "varint", block_size)
-    assert (got_ids == np.concatenate(cat_ids)).all()
-    assert (got_tfs == np.concatenate(cat_tfs)).all()
-    pl = PostingList(post, bm, "varint", block_size)
-    assert int(pl.bm["count"].sum()) == len(got_ids)
-    cat = [pl.decode_block(i)[0] for i in range(pl.n_blocks)]
-    assert (np.concatenate(cat) == got_ids).all()
 
 
 @given(
