@@ -57,6 +57,19 @@ from excelastic_ray.query.script import (
 _INF = np.iinfo(np.int64).max
 
 
+def _file_id(path) -> tuple | None:
+    """Identity of one file as opened now, or None when it is absent:
+    every index write replaces files (``os.replace``), so an equal id
+    means the same bytes."""
+    if not path:  # False: a pinned empty generation reads no file
+        return None
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
 class ShardSearcher:
     """In-memory searcher over one shard's postings.parquet. Stateful:
     term dictionary + encoded postings loaded once, queries reuse it.
@@ -66,13 +79,26 @@ class ShardSearcher:
     default) reads the CURRENT ``deletes.parquet`` / ``updates.parquet``,
     ``False`` pins the empty generation (no deletes / no updates), and a
     string path pins a specific ``*_g{rev}.parquet`` file — the
-    point-in-time mechanism (see :meth:`QueryEngine.open_pit`)."""
+    point-in-time mechanism (see :meth:`QueryEngine.open_pit`).
+
+    ``file_ids`` holds the :func:`_file_id` of the postings, docs,
+    deletes and updates files, taken before they are read, so a file
+    replaced mid-open never matches (:meth:`IndexReader.open_all`);
+    it is None once ``delete_by_query``/``update_by_query`` changed the
+    searcher in place."""
 
     def __init__(self, shard_path: str, config: IndexConfig,
                  deletes_path=None, updates_path=None):
         self.cfg = config
         self._deletes_path = deletes_path
         self._updates_path = updates_path
+        dpath = (os.path.join(shard_path, "deletes.parquet")
+                 if deletes_path is None else deletes_path)
+        upath = (os.path.join(shard_path, "updates.parquet")
+                 if updates_path is None else updates_path)
+        self.file_ids = tuple(map(_file_id, (
+            os.path.join(shard_path, "postings.parquet"),
+            os.path.join(shard_path, "docs.parquet"), dpath, upath)))
         t = pq.read_table(os.path.join(shard_path, "postings.parquet"))
         self.terms = t["term"].to_numpy(zero_copy_only=False).astype(object)
         self.df = t["df"].to_numpy()
@@ -117,8 +143,6 @@ class ShardSearcher:
         # untouched until a merge — exactly ES's pre-merge delete
         # semantics (deletes don't immediately change scoring stats)
         self.live_mask: np.ndarray | None = None
-        dpath = (os.path.join(shard_path, "deletes.parquet")
-                 if deletes_path is None else deletes_path)
         if dpath and os.path.exists(dpath):
             dead = pq.read_table(dpath)["docid"].to_numpy()
             if len(dead):
@@ -155,8 +179,6 @@ class ShardSearcher:
         # postings — including field-qualified streams — stay as
         # indexed until a reindex, exactly Lucene's updatable-DV
         # contract.
-        upath = (os.path.join(shard_path, "updates.parquet")
-                 if updates_path is None else updates_path)
         if upath and os.path.exists(upath):
             upd = pq.read_table(upath)
             u_ids = upd["docid"].to_numpy()
@@ -3232,11 +3254,18 @@ def _pinned_state_path(shard_path: str, base: str, rev: int,
 class IndexReader:
     """Opens an index directory: manifest, conv-rank table, shard access.
 
+    Shards open lazily on first use, or all at once through
+    :meth:`open_all`, which takes over from an earlier reader of the
+    same index whatever it opened over files that are still the same
+    (Lucene's ``DirectoryReader.openIfChanged``). The docstore caches
+    (the ``_source`` fetch phase) fill as :meth:`fetch_docs` reads.
+
     ``pinned=(deletes_rev, updates_rev)`` serves the tombstone and
     doc-values-update state as-of those generations instead of the
     current files — the point-in-time reader (postings, docstore and
     collection stats are immutable between merges, so only these two
-    mutable overlays need pinning)."""
+    mutable overlays need pinning). A pinned reader neither gives nor
+    takes in :meth:`open_all`."""
 
     def __init__(self, index_dir: str,
                  pinned: tuple[int, int] | None = None):
@@ -3269,18 +3298,47 @@ class IndexReader:
         # once instead of per call. Budgets bound worst-case memory.
         from collections import OrderedDict
 
-        import threading
-
         self._store_meta: "OrderedDict[int, tuple]" = OrderedDict()
         self._store_meta_cap = 65536  # chunks
         self._store_cache: "OrderedDict[tuple, object]" = OrderedDict()
         self._store_budget = 262_144  # cached docstore rows
         self._store_size = 0
-        self._store_lock = threading.Lock()  # fetch_docs fans out threads
-        self._store_pool = None  # lazy persistent fetch thread pool
+        # fetch_docs runs outside the engine's admission lock (the HTTP
+        # _mget reads through the reader), so callers may overlap
+        self._store_lock = threading.Lock()
 
     def shard_path(self, s: int) -> str:
         return seg.shard_dir(self.index_dir, s)
+
+    def open_all(self, old: "IndexReader | None" = None) -> None:
+        """Open every shard now. From ``old``, an earlier reader of the
+        same index with the same config, take over the searcher of
+        every shard whose postings/docs/deletes/updates files are the
+        ones it read, and the docstore entries of every chunk whose
+        ``store.parquet`` is; read the rest. A write that changed one
+        shard then costs one shard open, not all of them."""
+        if (old is None or old._pinned or self._pinned
+                or old.index_dir != self.index_dir or old.cfg != self.cfg):
+            old = None
+        for s in range(self.num_shards):
+            sr = old and old._searchers.get(s)
+            if sr is not None and sr.file_ids == tuple(
+                    _file_id(os.path.join(self.shard_path(s), f"{n}.parquet"))
+                    for n in ("postings", "docs", "deletes", "updates")):
+                self._searchers[s] = sr
+            else:
+                self.searcher(s)
+        if old is None:
+            return
+        with old._store_lock:
+            meta = list(old._store_meta.items())
+            cached = list(old._store_cache.items())
+        kept = {c for c, m in meta if _file_id(m[0]) == m[4]}
+        self._store_meta.update((c, m) for c, m in meta if c in kept)
+        for key, t in cached:
+            if key[0] in kept:
+                self._store_cache[key] = t
+                self._store_size += t.num_rows
 
     def searcher(self, s: int) -> ShardSearcher:
         if s not in self._searchers:
@@ -3327,7 +3385,8 @@ class IndexReader:
             path = os.path.join(
                 segmod.chunk_dir(self.index_dir, int(c)), "store.parquet"
             )
-            if not os.path.exists(path):
+            fid = _file_id(path)  # before the read, like ShardSearcher
+            if fid is None:
                 raise FileNotFoundError(
                     "index was built with store_source=False; no docstore"
                 )
@@ -3346,7 +3405,7 @@ class IndexReader:
                     lo[i], hi[i] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
                 else:
                     lo[i], hi[i] = int(st.min), int(st.max)
-            m = (path, lo, hi, nrows)
+            m = (path, lo, hi, nrows, fid)
             with self._store_lock:
                 self._store_meta[c] = m
                 while len(self._store_meta) > self._store_meta_cap:
@@ -3369,7 +3428,7 @@ class IndexReader:
 
         def _read_chunk(c: int) -> pa.Table:
             want = np.sort(docids[chunks == c])
-            path, lo, hi, nrows = _chunk_meta(c)
+            path, lo, hi, nrows, _ = _chunk_meta(c)
             # a group matters only if some wanted id lands in its range
             pos = np.searchsorted(want, lo)
             sel = np.flatnonzero((pos < len(want)) & (np.take(
@@ -3415,19 +3474,9 @@ class IndexReader:
         uniq_chunks = sorted(set(chunks.tolist()))
         if not uniq_chunks:
             raise KeyError("fetch_docs called with no docids")
-        if len(uniq_chunks) > 1:
-            # per-chunk reads are independent file decodes (GIL-free in
-            # Arrow) — a PERSISTENT thread pool turns k-chunk fetches
-            # into one round of parallel point reads (per-call pool
-            # creation measurably dominated the warm path)
-            if self._store_pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._store_pool = ThreadPoolExecutor(16)
-            tables = list(self._store_pool.map(_read_chunk, uniq_chunks))
-        else:
-            tables = [_read_chunk(uniq_chunks[0])]
-        tables = [t for t in tables if t is not None]
+        # chunk by chunk in the calling thread: queries already take
+        # turns (the admission lock), and warm fetches hit the cache
+        tables = [t for t in map(_read_chunk, uniq_chunks) if t is not None]
         if not tables:
             raise KeyError(
                 f"docids not present in docstore: {docids[:5].tolist()}"
@@ -7396,6 +7445,7 @@ class QueryEngine:
             sr.live_mask = (
                 ~np.isin(sr.docids, dead) if len(dead) else None
             )
+            sr.file_ids = None  # changed in place: never taken over
         m = seg.load_global_manifest(r.index_dir)
         m["deletes_rev"] = int(m.get("deletes_rev", 0)) + 1
         seg.save_global_manifest(r.index_dir, m)
@@ -7528,6 +7578,7 @@ class QueryEngine:
             # apply in place so this engine serves the new values
             # without a reopen
             if len(hit):
+                sr.file_ids = None  # changed in place: never taken over
                 pos = np.searchsorted(sr.docids, hit)
                 for name, v in set_values.items():
                     if name in sr.attrs:

@@ -41,17 +41,18 @@ from excelastic_ray.query.engine import (
 
 @admit_one_at_a_time
 class MultiIndexEngine:
-    """Search over a list of index directories as one logical index.
-    Admits one query at a time per process, like ``QueryEngine``."""
+    """Search over a list of index directories (or open
+    ``IndexReader``s) as one logical index. Admits one query at a time
+    per process, like ``QueryEngine``."""
 
-    def __init__(self, index_dirs: list[str], use_actors: bool = False):
+    def __init__(self, index_dirs: list, use_actors: bool = False):
         if not index_dirs:
             raise ValueError("need at least one index directory")
         self._admission = admission(use_actors)
         self.engines = [QueryEngine(d, use_actors=use_actors)
                         for d in index_dirs]
-        self.names = [os.path.basename(os.path.normpath(d))
-                      for d in index_dirs]
+        self.names = [os.path.basename(os.path.normpath(e.reader.index_dir))
+                      for e in self.engines]
         self.n_docs = sum(e.reader.n_docs for e in self.engines)
         sum_dl = sum(e.reader.n_docs * e.reader.avgdl for e in self.engines)
         self.avgdl = sum_dl / self.n_docs if self.n_docs else 0.0

@@ -103,6 +103,19 @@ def _parse_multipart(body: bytes, content_type: str) -> dict[str, tuple[str, byt
     return out
 
 
+def _before_append(manifest: dict) -> dict:
+    """The manifest an append in flight started from (an append writes
+    it back with status ``appending`` and two keys of its own). The
+    append only adds chunks and swaps shard files whole, so an engine
+    over that manifest, every shard open, still serves the state before
+    it, and searches need not fail while a bulk lands."""
+    if manifest.get("status") != "appending":
+        return manifest
+    return {**{k: v for k, v in manifest.items()
+               if k not in ("append_fingerprint", "append_base_chunks")},
+            "status": "complete"}
+
+
 class ImportServer:
     """Embeddable HTTP server over an index root directory.
 
@@ -132,9 +145,9 @@ class ImportServer:
         # worker threads
         self._index_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        # one cached QueryEngine per index (postings stay resident
-        # across requests); invalidated when an import into that index
-        # completes so searches never serve a stale reader
+        # one cached QueryEngine per index or alias (postings stay
+        # resident across requests); _acquire_engine replaces an entry
+        # whose manifest moved, so a write needs no eviction here
         self._engines: dict[str, object] = {}
         self._engines_guard = threading.Lock()
         # ES scroll contexts: id -> {index, query, k, cursor, done}.
@@ -925,12 +938,6 @@ class ImportServer:
         except TypeError:
             ds = reader(path)
         ds, n_rows = dataset_as_transcripts(ds, conv_prefix=index)
-        # invalidate BEFORE the build can clear/rewrite shard files: a
-        # cached engine opens shards lazily, so serving it during the
-        # rebuild window would read deleted/partial files. Alias
-        # entries whose resolution spans this index go too — their
-        # MultiIndexEngine holds a reader over the same files.
-        self._evict_engines_for(index)
         # a rollover placeholder ("empty" status) holds no data: its
         # first import IS index creation, whatever options= says —
         # appending into it would trip the config-match rule against
@@ -939,24 +946,21 @@ class ImportServer:
             clear = True
         build_index(ds, self.index_dir(index), cfg, clear=clear,
                     transforms=transforms)
-        self._evict_engines_for(index)  # and after: force fresh readers
         return n_rows
 
     def doc_index(self, index: str, body: dict,
                   overwrite: bool = False) -> dict:
         """ES single-doc ``_index`` (``PUT /<index>/_doc``): index one
         turn into an existing index. Serializes with imports on the
-        per-index lock; engine caches evict so the next search reads
-        the new manifest."""
+        per-index lock; the next search sees the new manifest and
+        reopens the changed shard."""
         from excelastic_ray.index.build import index_doc
 
         d = self.index_dir(index)
         with self._locks_guard:
             lock = self._index_locks.setdefault(index, threading.Lock())
         with lock:
-            self._evict_engines_for(index)
             docid = index_doc(d, body, overwrite=overwrite)
-            self._evict_engines_for(index)
         return {
             "index": index,
             "conv_id": str(body.get("conv_id")),
@@ -975,7 +979,6 @@ class ImportServer:
             lock = self._index_locks.setdefault(index, threading.Lock())
         with lock:
             docid = update_doc(d, conv_id, int(turn_idx), set_values)
-            self._evict_engines_for(index)
         return {
             "index": index,
             "conv_id": conv_id,
@@ -996,7 +999,6 @@ class ImportServer:
             lock = self._index_locks.setdefault(index, threading.Lock())
         with lock:
             items = bulk_apply(d, actions)
-            self._evict_engines_for(index)
         return {
             "index": index,
             "items": items,
@@ -1013,7 +1015,6 @@ class ImportServer:
             lock = self._index_locks.setdefault(index, threading.Lock())
         with lock:
             docid = delete_doc(d, conv_id, int(turn_idx))
-            self._evict_engines_for(index)
         return {
             "index": index,
             "conv_id": conv_id,
@@ -1021,14 +1022,6 @@ class ImportServer:
             "docid": int(docid),
             "result": "deleted",
         }
-
-    def _evict_engines_for(self, index: str) -> None:
-        with self._engines_guard:
-            self._engines = {
-                name: (targets, eng)
-                for name, (targets, eng) in self._engines.items()
-                if index not in targets
-            }
 
     def list_indices(self) -> dict:
         """ES ``_cat/indices`` analog: every index under the root with
@@ -1142,16 +1135,8 @@ class ImportServer:
             for body in act.values():
                 self.index_dir(body["alias"])
                 self.index_dir(body["index"])
-        out = update_aliases(self.index_root, actions)
-        touched = {body["alias"] for act in actions
-                   for body in act.values()}
-        with self._engines_guard:
-            # only the aliases this batch touched need eviction (the
-            # per-hit cached_targets check re-validates everything else)
-            self._engines = {
-                k: v for k, v in self._engines.items() if k not in touched
-            }
-        return {"aliases": out}
+        # a retargeted alias fails _acquire_engine's resolution check
+        return {"aliases": update_aliases(self.index_root, actions)}
 
     def snapshot(self, name: str, indices: list[str] | None = None) -> dict:
         """ES ``PUT /_snapshot/<repo>/<name>`` analog.  Holds each
@@ -1203,13 +1188,10 @@ class ImportServer:
         with self._locks_guard:
             lock = self._index_locks.setdefault(target, threading.Lock())
         with lock:
-            out = restore_snapshot(
+            return restore_snapshot(
                 self.snapshot_repo, name, index, self.index_root,
                 rename_to=rename_to,
             )
-        with self._engines_guard:
-            self._engines.pop(target, None)
-        return out
 
     def complete(self, index: str, prefix: str, k: int = 10,
                  fuzziness: int | None = None,
@@ -1357,10 +1339,8 @@ class ImportServer:
         with self._locks_guard:
             lock = self._index_locks.setdefault(index, threading.Lock())
         with lock:
-            self._evict_engines_for(index)
             m = force_merge(self.index_dir(index),
                             num_shards=max_num_segments)
-            self._evict_engines_for(index)
         return {"index": index, "num_shards": m["num_shards"],
                 "status": m["status"]}
 
@@ -1396,37 +1376,39 @@ class ImportServer:
 
     def _acquire_engine(self, name: str, targets: list[str]):
         """Cached engine for a concrete index or alias.  Cache entries
-        are (resolution, engine); an entry is dropped when the alias
-        was retargeted, any target index flipped away from complete
-        (import mid-clear), or a mutation rev moved (delete/update
-        overlays load at engine-open time)."""
+        are (resolution, engine); an entry is replaced when the alias
+        was retargeted or any target's manifest moved (every write
+        rewrites it), and is dropped while a target is not complete
+        (import mid-clear). Writes evict nothing: this check is the one
+        invalidation rule, and it keeps the stale engine until here, so
+        its readers are there to take over from.
+
+        Each replacement reader opens every shard now, taking over from
+        the stale engine's reader of the same directory what the write
+        left unchanged (:meth:`IndexReader.open_all`); an alias's
+        sub-indices go through the same loop. A server's first engine
+        for a name has nothing to take over and opens every shard."""
         from excelastic_ray.index.segments import load_global_manifest
-        from excelastic_ray.query.engine import QueryEngine
+        from excelastic_ray.query.engine import IndexReader, QueryEngine
         from excelastic_ray.query.multi import MultiIndexEngine
 
         dirs = [self.index_dir(t) for t in targets]
         with self._engines_guard:
-            hit = self._engines.get(name)
+            old = {}
+            hit = self._engines.pop(name, None)
             if hit is not None:
                 cached_targets, eng = hit
                 subs = eng.engines if hasattr(eng, "engines") else [eng]
-                fresh = cached_targets == targets
-                if fresh:
-                    for sub, d in zip(subs, dirs):
-                        # full-manifest equality, not just the mutation
-                        # revs: a clear+rebuild between requests writes
-                        # a NEW manifest whose revs may still be 0, and
-                        # serving the old reader over replaced files
-                        # would be wrong (review r3 #1)
-                        m = load_global_manifest(d)
-                        if m.get("status") != "complete" or (
-                            m != sub.reader.manifest
-                        ):
-                            fresh = False
-                            break
-                if fresh:
+                # full-manifest equality, not just the mutation revs: a
+                # clear+rebuild writes a NEW manifest whose revs may
+                # still be 0
+                if cached_targets == targets and all(
+                    _before_append(load_global_manifest(d))
+                    == sub.reader.manifest for sub, d in zip(subs, dirs)
+                ):
+                    self._engines[name] = hit
                     return eng
-                self._engines.pop(name, None)
+                old = {sub.reader.index_dir: sub.reader for sub in subs}
             # read-gate: only serve complete indices — a concurrent
             # import into the same dir may be mid-clear/rebuild
             # (imports hold the per-index lock; reads check status)
@@ -1438,10 +1420,11 @@ class ImportServer:
                         f"(status={m.get('status')!r}); retry when the "
                         f"import finishes"
                     )
-            if len(dirs) == 1:
-                eng = QueryEngine(dirs[0])
-            else:
-                eng = MultiIndexEngine(dirs)
+            readers = [IndexReader(d) for d in dirs]
+            for r in readers:
+                r.open_all(old.get(r.index_dir))
+            eng = (QueryEngine(readers[0]) if len(readers) == 1
+                   else MultiIndexEngine(readers))
             self._engines[name] = (targets, eng)
             return eng
 
@@ -1711,7 +1694,7 @@ class ImportServer:
         ES keeps a point-in-time snapshot per scroll; here segments are
         immutable between imports, which IS the PIT semantics — with
         one documented divergence: an import that completes mid-scroll
-        evicts the cached engine and later pages serve from the new
+        replaces the cached engine and later pages serve from the new
         reader (ES would keep the old snapshot alive)."""
         from excelastic_ray.index.snapshot import resolve_alias
 

@@ -644,11 +644,31 @@ def test_streaming_merge_flush_size_invariant(
 
 def test_fetch_docs_missing_docid_raises(ray_session, tiny_index):
     """fetch_docs must KeyError on a docid absent from the docstore, not
-    silently return a neighboring row (searchsorted guard)."""
+    silently return a neighboring row (searchsorted guard). A fetch
+    spanning every chunk reads them in the calling thread, starting no
+    thread, and returns rows in request order with or without
+    ``columns=``."""
+    import threading
+
     import pytest as _pytest
 
     idx_dir, result = tiny_index
     reader = IndexReader(idx_dir)
+    cfg = reader.cfg
+    ranks = np.flatnonzero(reader.conv_ids != None)  # noqa: E711
+    # turns 0 and 1 of every conversation (each has at least two)
+    want = np.concatenate([ranks << cfg.turn_bits,
+                           (ranks << cfg.turn_bits) | 1])
+    np.random.default_rng(0).shuffle(want)
+    chunks = want >> (cfg.turn_bits + cfg.convs_per_chunk_bits)
+    assert len(set(chunks.tolist())) == reader.manifest["n_chunks"] > 1
+    threads = threading.active_count()
+    for cols in (None, ["text"], ["role", "conv_id"]):
+        got = IndexReader(idx_dir).fetch_docs(want, columns=cols)
+        assert got["docid"].to_pylist() == want.tolist()
+        if cols:
+            assert got.column_names == ["docid", *cols]
+    assert threading.active_count() == threads
     store = reader.fetch_docs([0])  # docid 0 exists (first conv, turn 0)
     assert store["docid"].to_pylist() == [0]
     absent = (1 << 40) | 63  # far outside any built chunk... but same chunk math

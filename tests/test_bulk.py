@@ -161,7 +161,7 @@ def test_bulk_over_http(bulk_index, tmp_path, ray_session):
             out = json.loads(r.read())
         assert out["errors"] is False
         assert [it["status"] for it in out["items"]] == ["ok", "ok"]
-        # searches see the bulk's effects immediately (engine evicted)
+        # searches see the bulk's effects immediately (engine refreshed)
         _, sr = None, urllib.request.urlopen(
             f"http://127.0.0.1:{srv.port}/api/search?index=b&q=kappa&k=5"
         )

@@ -1,6 +1,7 @@
 """Many threads over one in-process engine: every answer equals the
 sequential one, and at most one shard call is ever in flight (the
-engine admits one query at a time per process)."""
+engine admits one query at a time per process). Over HTTP, searches
+racing bulks answer as the index stood before or after a bulk."""
 
 from __future__ import annotations
 
@@ -134,3 +135,103 @@ def test_threads_match_sequential_one_shard_call_in_flight(
     assert not any(t.is_alive() for t in threads), "a client never finished"
     assert not wrong, wrong[:5]
     assert flight["max"] == 1
+
+
+def test_http_searches_while_bulks_land(tmp_path, ray_session):
+    """4 threads search over HTTP while bulks of new conversations land
+    on the same index. No request errors, and each answer equals a fresh
+    engine's answer over the index as it stood before or after one of
+    the bulks in flight while the request was."""
+    import json
+    import urllib.parse
+    import urllib.request
+
+    import ray.data as rd
+
+    from excelastic_ray.web import ImportServer
+
+    root = tmp_path / "root"
+    d = str(root / "main")
+    build_index(rd.from_arrow(generate_transcripts(n_convs=40, seed=5)),
+                d, CFG, clear=True)
+    queries = ["the call run w00001", "ok w00003 of", "landmark the"]
+
+    def fresh() -> list:
+        eng = QueryEngine(d)
+        return [json.loads(json.dumps(
+            eng.search(q, 10, include_source=True).to_pylist(), default=str))
+            for q in queries]
+
+    srv = ImportServer(str(root)).start()
+    base = f"http://127.0.0.1:{srv.port}"
+
+    def call(url: str, body: bytes | None = None):
+        req = urllib.request.Request(url, data=body,
+                                     method="POST" if body else "GET")
+        with urllib.request.urlopen(req, timeout=120) as r:
+            return r.status, json.loads(r.read())
+
+    states = [fresh()]  # states[j]: answers after j bulks
+    begun = [0]  # bulks begun; len(states) - 1 bulks done
+    lock = threading.Lock()
+    stop = threading.Event()
+    seen: list[tuple] = []  # (query, first state, last state, answer)
+    errors: list[str] = []
+
+    def client(c: int) -> None:
+        i = c
+        while not stop.is_set():
+            qi = i % len(queries)
+            i += 1
+            with lock:
+                lo = len(states) - 1
+            qs = urllib.parse.urlencode({"index": "main", "k": 10,
+                                         "q": queries[qi]})
+            try:
+                status, out = call(f"{base}/api/search?{qs}")
+            except Exception as e:  # noqa: BLE001 — reported below
+                status, out = None, repr(e)
+            with lock:
+                hi = begun[0]
+                if status != 200:
+                    errors.append(f"{queries[qi]}: {status} {out}")
+                else:
+                    seen.append((qi, lo, hi, out["hits"]))
+
+    try:
+        call(f"{base}/api/search?index=main&q=the")  # the first engine
+        threads = [threading.Thread(target=client, args=(c,), daemon=True)
+                   for c in range(4)]
+        for t in threads:
+            t.start()
+        for b in range(3):
+            docs = [{"conv_id": f"land-{b}", "turn_idx": t, "role": "user",
+                     "text": f"landmark {b} turn {t}"} for t in range(2)]
+            body = "".join(
+                json.dumps({"index": {"conv_id": x["conv_id"],
+                                      "turn_idx": x["turn_idx"]}})
+                + "\n" + json.dumps(x) + "\n" for x in docs).encode()
+            with lock:
+                begun[0] += 1
+            status, out = call(f"{base}/api/bulk?index=main", body)
+            assert status == 200 and not out["errors"], out
+            after = fresh()
+            with lock:
+                states.append(after)
+            # let the clients answer from the new state before the next
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not any(
+                    lo == b + 1 for _, lo, _, _ in list(seen)):
+                time.sleep(0.01)
+        stop.set()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        stop.set()
+        srv.stop()
+    assert not any(t.is_alive() for t in threads), "a client never finished"
+    assert not errors, errors[:5]
+    assert {lo for _, lo, _, _ in seen} == set(range(len(states)))
+    for qi, lo, hi, hits in seen:
+        assert any(hits == states[j][qi] for j in range(lo, hi + 1)), (
+            queries[qi], lo, hi)

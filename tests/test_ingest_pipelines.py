@@ -79,6 +79,8 @@ def test_cli_build_with_pipeline_and_mapping(ray_session, tmp_path):
     assert eng.search("example", k=5).num_rows == 0
     assert eng.search("email", k=5).num_rows == 1
     assert load_global_manifest(idx)["config"]["store_source"] is False
+    with pytest.raises(FileNotFoundError, match="store_source=False"):
+        eng.reader.fetch_docs([0])
 
 
 def test_upload_with_unknown_pipeline_fails_cleanly(ray_session, tmp_path):
