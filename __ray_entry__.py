@@ -656,7 +656,7 @@ def _bm25_table(sf_dir: str, k: int = 10, mode: str = "or",
     from excelastic_ray.pipelines.textstats import trunc6
     from excelastic_ray.query.engine import QueryEngine
 
-    eng = QueryEngine(_index_for(sf_dir), algo="auto")
+    eng = QueryEngine(_index_for(sf_dir))
     parts = []
     for qid, q in BM25_QUERIES:
         t = eng.search(q, k, mode=mode, filters=filters,
@@ -1432,7 +1432,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from excelastic_ray.pipelines.textstats import trunc6
         from excelastic_ray.query.engine import QueryEngine
 
-        eng = QueryEngine(_index_for(sf_dir), algo="auto")
+        eng = QueryEngine(_index_for(sf_dir))
         parts = []
         for qid, q in BM25_QUERIES:
             t = eng.search_script_query(
@@ -1547,7 +1547,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from excelastic_ray.pipelines.textstats import trunc6
         from excelastic_ray.query.engine import QueryEngine
 
-        eng = QueryEngine(_index_for(sf_dir), algo="auto")
+        eng = QueryEngine(_index_for(sf_dir))
         fields = {
             "dl_ln": "ln(dl)",
             "pos_boost": "1.0 / (1.0 + turn_idx)",
@@ -4273,7 +4273,7 @@ def _bm25_sql(conjunctive: bool = False,
     AND {extra_join_pred}"""
     # ES function_score gauss decay (multiply boost_mode): rank and
     # score by raw * decay^((|ts-origin|/scale)^2) — the identical
-    # float64 expression as ShardSearcher.decay_topk
+    # float64 expression as the DSL fscore node's gauss source
     rank_expr, score_expr = "raw", "raw"
     if decay:
         origin, scale_us, base = decay
@@ -4286,7 +4286,7 @@ def _bm25_sql(conjunctive: bool = False,
         rank_expr = score_expr = f"raw * {mult}"
     # ES distance_feature (date variant) in a bool should: rank and
     # score by raw + boost * pivot / (pivot + |ts - origin|) — the
-    # identical float64 expression as ShardSearcher.distfeat_topk
+    # identical float64 expression as the DSL fscore node's recency source
     if distfeat:
         origin, pivot_us, boost = distfeat
         ts_clause = """JOIN transcripts tt
@@ -5394,7 +5394,7 @@ def _boosting_sql() -> str:
     """boosting-query twin: the _bm25_sql CTE with rank AND score
     multiplied by negative_boost when the doc's toks intersect the
     negative clause — the identical float64 expression as
-    ShardSearcher.boosting_topk."""
+    QueryEngine.search_boosting's fscore node."""
     vals = _bm25_terms_values()
     neg = ", ".join(
         f"'{t}'" for t in sorted(set(BOOSTING_NEGATIVE.lower().split()))

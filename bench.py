@@ -157,7 +157,7 @@ def run_bench() -> dict:
     if os.environ.get("GRAFT_BENCH_SKIP_QUERY"):
         lat = np.asarray([0.0])
     else:
-        eng = QueryEngine(idx_dir, algo="auto", use_actors=True)
+        eng = QueryEngine(idx_dir, use_actors=True)
         eng.search("warmup the", 10)
         lat = []
         for _ in range(30):

@@ -16,8 +16,9 @@ are native:
   (``ElasticWriter.java:186-194``).
 - index/query: distributed posting-list construction (delta + varint or
   block-packed compression, block-max skip metadata), doc-partitioned
-  shards, Lucene-default BM25 (k1=1.2, b=0.75) exact top-k via block-max
-  WAND, resumable builds with per-partition lineage + counters.
+  shards, Lucene-default BM25 (k1=1.2, b=0.75) exact top-k via TAAT and
+  block-skip scorers, resumable builds with per-partition lineage +
+  counters.
 
 Nothing here calls ``ray.init()``; callers own the Ray session.
 """

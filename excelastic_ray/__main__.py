@@ -74,7 +74,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--filter", action="append", default=[],
                    help="attr=value (repeatable)")
     s.add_argument("--actors", action="store_true")
-    s.add_argument("--algo", default="auto", choices=["auto", "taat", "bmw"])
     s.add_argument("--phrase", action="store_true",
                    help="match_phrase: terms must appear consecutively")
     s.add_argument("--slop", type=int, default=0,
@@ -396,8 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             for f in args.filter:
                 key, _, val = f.partition("=")
                 filters.setdefault(key, []).append(val)
-            eng = QueryEngine(args.index_dir, algo=args.algo,
-                              use_actors=args.actors)
+            eng = QueryEngine(args.index_dir, use_actors=args.actors)
             if args.syn:
                 table = {}
                 for spec in args.syn:

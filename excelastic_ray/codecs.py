@@ -25,8 +25,8 @@ metadata ("block-max"):
 
 ``max_tf`` with ``min_dl`` give an upper bound on the BM25 contribution of
 any posting in the block (BM25 is increasing in tf, decreasing in dl),
-which is what block-max WAND prunes with — valid without knowing avgdl at
-build time.
+which is what the or_skip scorer prunes with — valid without knowing avgdl
+at build time.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ def decode_postings(
 
 class PostingList:
     """Random-access view over one encoded posting list + its block-max
-    metadata. Blocks decode lazily — the unit block-max WAND skips over.
+    metadata. Blocks decode lazily — the unit the skip scorers skip over.
     Block sizes come from bm["count"]: every block holds ``block_size``
     postings but the last, and varint shards merged by older builds
     also have short blocks at the seams between chunks."""

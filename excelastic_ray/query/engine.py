@@ -1,4 +1,4 @@
-"""Query engine: shard readers, TAAT scorer, block-max WAND, actor pool.
+"""Query engine: shard readers, TAAT scorer, skip scorers, actor pool.
 
 The native replacement for the query half the reference delegates to
 Elasticsearch (``/root/reference/README.md:3``). Shards are
@@ -7,24 +7,24 @@ using *global* collection stats (N, avgdl, df summed across shards at
 query time) and the driver merges k-sized per-shard heaps — no posting
 list ever leaves a shard at query time.
 
-Four scoring algorithms, required to be result-identical (tests assert):
+Three scoring strategies, required to be result-identical (tests
+assert); ``ShardSearcher.topk`` picks one per shard:
 
 - ``taat`` — vectorized term-at-a-time over fully decoded postings
   (numpy); the reference scorer for exactness checks and the fallback
   everywhere pruning cannot help.
 - ``and_skip`` — vectorized block-skip intersection for conjunctive
   queries with skewed dfs (the rarest term bounds the candidate set;
-  hot terms decode only candidate-bearing skip blocks). In ``auto``.
+  hot terms decode only candidate-bearing skip blocks).
 - ``or_skip`` — vectorized MaxScore (Turtle & Flood 1995) with
   block-max term bounds for disjunctive queries with skewed dfs: terms
   whose cumulative upper bound falls below the rarest term's k-th best
-  score never fully decode. In ``auto``; provably exact with a TAAT
-  fallback.
-- ``bmw`` — per-cursor document-at-a-time WAND (Broder et al., CIKM
-  2003) with block-max refinement (Ding & Suel, SIGIR 2011). Exact and
-  test-pinned, but out of ``auto``: its per-posting Python overhead
-  loses to the vectorized scorers at every measured shape —
-  and_skip/or_skip ARE its skip ideas, vectorized.
+  score never fully decode. Provably exact with a TAAT fallback.
+
+Per-cursor block-max WAND (Ding & Suel, SIGIR 2011) was retired: its
+per-posting Python overhead lost to TAAT at every measured shape
+(57-202x, BASELINE.md round 3); and_skip / or_skip are its skip ideas,
+vectorized.
 
 All exact top-k — pruning only, never approximation. Tie-break is
 (score DESC, docid ASC), and docid order == (conv_id, turn_idx) order
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import heapq
 import inspect
 import os
 import re
@@ -53,8 +52,6 @@ from excelastic_ray.query.script import (
     compile_filter_script,
     compile_score_script,
 )
-
-_INF = np.iinfo(np.int64).max
 
 
 def _file_id(path) -> tuple | None:
@@ -245,12 +242,7 @@ class ShardSearcher:
                 mask &= present if want["exists"] else ~present
                 continue
             if isinstance(want, dict):
-                col = self.time_attrs.get(name)
-                if col is None:
-                    raise KeyError(
-                        f"no timestamp attribute {name!r} in this index "
-                        f"(have {sorted(self.time_attrs)})"
-                    )
+                col = self._time_col(name)
                 for op, bound in want.items():
                     b = self._as_us(bound)
                     if op == "gte":
@@ -280,13 +272,20 @@ class ShardSearcher:
         """Matching-doc counts per time bucket (floor(ts / interval) *
         interval, µs) — the ES date_histogram agg over the query's
         filter context."""
-        col = self.time_attrs.get(attr)
-        if col is None:
-            raise KeyError(f"no timestamp attribute {attr!r} in this index")
+        col = self._time_col(attr)
         m = self.matching_mask(terms, n_required, filters)
         buckets = (col[m] // interval_us) * interval_us
         vals, counts = np.unique(buckets, return_counts=True)
         return dict(zip(vals.tolist(), counts.tolist()))
+
+    def _time_col(self, attr: str) -> np.ndarray:
+        col = self.time_attrs.get(attr)
+        if col is None:
+            raise KeyError(
+                f"no timestamp attribute {attr!r} in this index "
+                f"(have {sorted(self.time_attrs)})"
+            )
+        return col
 
     def lookup(self, term: str) -> int:
         i = int(np.searchsorted(self.terms, term))
@@ -1392,7 +1391,6 @@ class ShardSearcher:
         idfs: list[float],
         avgdl: float,
         k: int,
-        algo: str = "auto",
         filters: dict | None = None,
         n_required: int = 0,
         after: tuple[float, int] | None = None,
@@ -1407,25 +1405,17 @@ class ShardSearcher:
         deterministic float64 (fixed summation order), so the equality
         half of the comparison is exact across calls.
 
-        ``algo="auto"`` picks vectorized TAAT, except for conjunctive
-        (operator=and) queries with skewed shard-local dfs, which route
-        to the vectorized block-skip intersection (``and_skip``,
-        _topk_and_skip) — the numpy realization of BMW's skip
-        advantage: 3.3× faster than TAAT on rare+hot 2-term AND at
-        254k docs, margin growing with corpus size (BASELINE.md round
-        4 head-to-head), bit-identical results. Per-cursor block-max
-        WAND ("bmw") stays available and exact (tests pin bmw == taat)
-        but remains out of auto: its per-block Python overhead
-        (~µs/block) loses to TAAT at every tested shape — 57× slower
-        on rare+common 2-term, 200× on 16-term (BASELINE.md round 3);
-        the same shape vectorized IS and_skip.
-
         ``filters``: {attr: value or list} restricts results to matching
         docs WITHOUT changing BM25 stats (ES filter context).
 
         ``n_required`` > 0 keeps only docs matching at least that many
         GLOBAL query terms (== len(global live terms) → conjunctive AND,
         the ES ``operator=and`` analog; scores unchanged, OR-identical).
+
+        The scorer is picked per shard by :meth:`_pick_scorer`: the
+        vectorized block-skip scorers on skewed shard-local dfs, TAAT
+        otherwise and always under ``after``; all three return
+        bit-identical results.
         """
         present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
         if not present:
@@ -1435,53 +1425,39 @@ class ShardSearcher:
             # can match all required terms
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
         mask = self.filter_mask(filters)
-        if algo == "auto":
-            algo = "taat"
-            # conjunctive + skewed dfs → the block-skip intersection
-            # beats full TAAT decode (the shape BMW was built for,
-            # without per-posting Python): the rare term bounds the
-            # candidate set, so only candidate-bearing blocks of the
-            # hot terms decode. Thresholds: candidates must be few in
-            # absolute terms (the block probe has a per-block Python
-            # step) AND much rarer than the hottest term (else TAAT's
-            # full vector decode is simply faster).
-            if n_required == len(present) > 1 and after is None:
-                ldfs = [int(self.df[self.lookup(t)]) for t, _ in present]
-                if min(ldfs) <= 65536 and min(ldfs) * 64 <= max(ldfs):
-                    algo = "and_skip"
-            # disjunctive + skewed dfs → vectorized MaxScore: the hot
-            # term is probed only at rare-term candidate positions IF
-            # its upper bound falls below the rare term's k-th best
-            # score (checked inside; TAAT fallback otherwise). The
-            # rare side must carry ≥ k postings for the θ0 bound to
-            # exist at all.
-            elif n_required == 0 and after is None and len(present) > 1:
-                ldfs = [int(self.df[self.lookup(t)]) for t, _ in present]
-                if (k <= min(ldfs) <= 65536
-                        and min(ldfs) * 64 <= max(ldfs)):
-                    algo = "or_skip"
-        if algo == "taat":
-            return self._topk_taat(present, avgdl, k, mask, n_required,
-                                   after)
-        if algo == "and_skip":
-            if after is not None:
-                raise ValueError("search_after requires the taat scorer")
-            if n_required != len(present):
-                raise ValueError("and_skip is a conjunctive scorer "
-                                 "(operator=and only)")
+        scorer = self._pick_scorer(present, k, n_required, after)
+        if scorer == "and_skip":
             return self._topk_and_skip(present, avgdl, k, mask)
-        if algo == "or_skip":
-            if after is not None:
-                raise ValueError("search_after requires the taat scorer")
-            if n_required:
-                raise ValueError("or_skip is a disjunctive scorer "
-                                 "(operator=or only)")
+        if scorer == "or_skip":
             return self._topk_or_skip(present, avgdl, k, mask)
-        if algo == "bmw":
-            if after is not None:
-                raise ValueError("search_after requires the taat scorer")
-            return self._topk_bmw(present, avgdl, k, mask, n_required)
-        raise ValueError(f"unknown algo {algo!r}")
+        return self._topk_taat(present, avgdl, k, mask, n_required, after)
+
+    def _pick_scorer(self, present, k, n_required, after) -> str:
+        """``and_skip``, ``or_skip`` or ``taat`` for one shard's query.
+
+        Conjunctive + skewed dfs → the block-skip intersection: the
+        rare term bounds the candidate set, so only candidate-bearing
+        blocks of the hot terms decode — 3.3× faster than TAAT on
+        rare+hot 2-term AND at 254k docs (BASELINE.md round 4).
+        Candidates must be few in absolute terms (the block probe has a
+        per-block Python step) AND much rarer than the hottest term
+        (else TAAT's full vector decode is simply faster).
+
+        Disjunctive + skewed dfs → vectorized MaxScore: the hot term is
+        probed only at rare-term candidate positions IF its upper bound
+        falls below the rare term's k-th best score (checked inside;
+        TAAT fallback otherwise). The rare side must carry ≥ k postings
+        for the θ0 bound to exist at all."""
+        if after is not None or len(present) < 2:
+            return "taat"
+        if n_required not in (0, len(present)):
+            return "taat"
+        ldfs = [int(self.df[self.lookup(t)]) for t, _ in present]
+        if not (min(ldfs) <= 65536 and min(ldfs) * 64 <= max(ldfs)):
+            return "taat"
+        if n_required:
+            return "and_skip"
+        return "or_skip" if k <= min(ldfs) else "taat"
 
     def bool_topk(self, terms, idfs, must_flags, should_flags, mnot,
                   avgdl, k, filters=None, n_must=0, msm=0):
@@ -1669,6 +1645,35 @@ class ShardSearcher:
                     v = fnv1a_int64(
                         self.docids + np.int64(f["random"])
                     ).astype(np.float64) / float(1 << 64)
+                elif "gauss" in f or "recency" in f:
+                    # date sources, computed on the child's match set
+                    # only: no other doc's value reaches a score
+                    g = f.get("gauss") or f["recency"]
+                    d = np.abs(self._time_col(g["attr"])[qm]
+                               - np.int64(g["origin"]))
+                    v = np.ones(n)
+                    if "gauss" in f:
+                        # decay^((d/scale)^2), the oracle's float64
+                        # expression: exactly `decay` at d = scale
+                        r = d / g["scale"]
+                        v[qm] = np.power(g["decay"], r * r)
+                    else:
+                        # pivot/(pivot + d): exactly 1/2 at d = pivot
+                        v[qm] = g["pivot"] / (g["pivot"]
+                                              + d.astype(np.float64))
+                elif "dl_feature" in f:
+                    # the ES rank_feature functions over the doc length,
+                    # on the match set only (outside it dl may be 0)
+                    g = f["dl_feature"]
+                    dl = self.dls[qm]
+                    v = np.ones(n)
+                    if g["function"] == "saturation":
+                        v[qm] = dl / (dl + g["pivot"])
+                    elif g["function"] == "log":
+                        v[qm] = np.log(g["scale"] * dl + 1.0)
+                    else:  # sigmoid
+                        e = g["exponent"]
+                        v[qm] = dl ** e / (dl ** e + g["pivot"] ** e)
                 else:
                     v = np.ones(n)
                 vals.append((fm, v * f["weight"], f["weight"]))
@@ -1972,9 +1977,7 @@ class ShardSearcher:
         docid) of the last row already served resumes strictly after
         that cursor (ES search_after deep pagination — O(k) per page at
         any depth, unlike offset's O(depth))."""
-        col = self.time_attrs.get(attr)
-        if col is None:
-            raise KeyError(f"no timestamp attribute {attr!r} in this index")
+        col = self._time_col(attr)
         if order not in ("asc", "desc"):
             raise ValueError(f"unknown order {order!r}")
         m = self.matching_mask(terms, n_required, filters)
@@ -1993,162 +1996,6 @@ class ShardSearcher:
         )[:k]
         return ids[pos], ts[pos]
 
-    def decay_topk(self, terms, idfs, avgdl, k, attr: str, origin_us: int,
-                   scale_us: float, decay: float = 0.5,
-                   filters=None, n_required=0):
-        """ES ``function_score`` gauss date decay, shard phase: TAAT-score
-        every matching doc, multiply by ``decay ** ((|ts - origin| /
-        scale)^2)`` (the ES gauss decay curve with offset 0 — the
-        multiplier is exactly ``decay`` at distance ``scale``), then take
-        the shard's top-k ON THE DECAYED SCORE. Decay-before-top-k is
-        what makes the global merge exact: a doc close to ``origin`` can
-        out-rank a higher-BM25 doc far from it, so relevance-first
-        pruning would be wrong; every doc lives in exactly one shard, so
-        per-shard top-k on final scores merges exactly."""
-        col = self.time_attrs.get(attr)
-        if col is None:
-            raise KeyError(
-                f"no timestamp attribute {attr!r} in this index "
-                f"(have {sorted(self.time_attrs)})"
-            )
-        cfg = self.cfg
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-        present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
-        if not present or (n_required and n_required > len(present)):
-            return empty
-        acc = np.zeros(len(self.docids), dtype=np.float64)
-        hits = (
-            np.zeros(len(self.docids), dtype=np.int32) if n_required else None
-        )
-        for t, t_idf in present:
-            ids, tfs = self.decoded(self.lookup(t))
-            acc[ids] += contribution(
-                t_idf, tfs.astype(np.float64), self.dls[ids], avgdl,
-                cfg.k1, cfg.b,
-            )
-            if hits is not None:
-                hits[ids] += 1
-        if hits is not None:
-            acc[hits < n_required] = 0.0
-        mask = self.filter_mask(filters)
-        if mask is not None:
-            acc[~mask] = 0.0
-        nz = np.flatnonzero(acc)
-        # int64 µs distance / float scale then decay^(r^2) — the same
-        # float64 expression as the oracle's pow(decay, pow(dist/scale,2))
-        r = np.abs(col[nz] - np.int64(origin_us)) / scale_us
-        scores = acc[nz] * np.power(decay, r * r)
-        docids = self.docids[nz]
-        order = np.lexsort((docids, -scores))[:k]
-        return docids[order], scores[order]
-
-    def distfeat_topk(self, terms, idfs, avgdl, k, attr: str,
-                      origin_us: int, pivot_us: float,
-                      boost: float = 1.0, filters=None, n_required=0):
-        """ES ``distance_feature`` (date variant) riding a bool should:
-        every query-matching doc scores bm25 + boost × pivot /
-        (pivot + |ts − origin|) — the ADDITIVE recency bonus (exactly
-        ``boost/2`` at distance ``pivot``), vs decay_topk's
-        multiplicative gauss. Boost-before-top-k keeps the global merge
-        exact (the decay_topk argument)."""
-        col = self.time_attrs.get(attr)
-        if col is None:
-            raise KeyError(
-                f"no timestamp attribute {attr!r} in this index "
-                f"(have {sorted(self.time_attrs)})"
-            )
-        cfg = self.cfg
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-        present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
-        if not present or (n_required and n_required > len(present)):
-            return empty
-        acc = np.zeros(len(self.docids), dtype=np.float64)
-        hits = (
-            np.zeros(len(self.docids), dtype=np.int32) if n_required else None
-        )
-        for t, t_idf in present:
-            ids, tfs = self.decoded(self.lookup(t))
-            acc[ids] += contribution(
-                t_idf, tfs.astype(np.float64), self.dls[ids], avgdl,
-                cfg.k1, cfg.b,
-            )
-            if hits is not None:
-                hits[ids] += 1
-        if hits is not None:
-            acc[hits < n_required] = 0.0
-        mask = self.filter_mask(filters)
-        if mask is not None:
-            acc[~mask] = 0.0
-        nz = np.flatnonzero(acc)
-        dist = np.abs(col[nz] - np.int64(origin_us)).astype(np.float64)
-        scores = acc[nz] + boost * (pivot_us / (pivot_us + dist))
-        docids = self.docids[nz]
-        order = np.lexsort((docids, -scores))[:k]
-        return docids[order], scores[order]
-
-    def random_topk(self, terms, k, seed: int = 0, filters=None,
-                    n_required: int = 0):
-        """ES ``function_score`` ``random_score`` with a seed, shard
-        phase: the match set is the query's, the ranking is a
-        deterministic uniform hash — score = FNV-1a64(docid + seed)
-        / 2^64 ∈ [0, 1). Depends only on (docid, seed): reproducible
-        at any parallelism (unlike ES's per-segment interpolation) and
-        twin-able by the identical DuckDB integer-hash expression."""
-        from excelastic_ray.hashing import fnv1a_int64
-
-        m = self.matching_mask(terms, n_required, filters)
-        ords = np.flatnonzero(m)
-        if not len(ords):
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64))
-        docids = self.docids[ords]
-        h = fnv1a_int64(docids + np.int64(seed))
-        scores = h.astype(np.float64) / float(1 << 64)
-        order = np.lexsort((docids, -scores))[:k]
-        return docids[order], scores[order]
-
-    def boosting_topk(self, terms, idfs, avgdl, k, neg_terms,
-                      negative_boost: float, filters=None, n_required=0):
-        """ES ``boosting`` query, shard phase: TAAT-score the positive
-        query over every matching doc, multiply docs matching the
-        negative query by ``negative_boost`` (< 1 demotes, never
-        excludes — the ES semantics vs must_not), then shard top-k ON
-        THE ADJUSTED SCORE. Like decay_topk, adjusting before top-k is
-        what makes the global merge exact: a demoted doc can only fall,
-        and every doc lives in exactly one shard."""
-        cfg = self.cfg
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-        present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
-        if not present or (n_required and n_required > len(present)):
-            return empty
-        acc = np.zeros(len(self.docids), dtype=np.float64)
-        hits = (
-            np.zeros(len(self.docids), dtype=np.int32) if n_required else None
-        )
-        for t, t_idf in present:
-            ids, tfs = self.decoded(self.lookup(t))
-            acc[ids] += contribution(
-                t_idf, tfs.astype(np.float64), self.dls[ids], avgdl,
-                cfg.k1, cfg.b,
-            )
-            if hits is not None:
-                hits[ids] += 1
-        if hits is not None:
-            acc[hits < n_required] = 0.0
-        mask = self.filter_mask(filters)
-        if mask is not None:
-            acc[~mask] = 0.0
-        nz = np.flatnonzero(acc)
-        if not len(nz):
-            return empty
-        scores = acc[nz]
-        if neg_terms:
-            neg = self.matching_mask(neg_terms)
-            scores = np.where(neg[nz], scores * negative_boost, scores)
-        docids = self.docids[nz]
-        order = np.lexsort((docids, -scores))[:k]
-        return docids[order], scores[order]
-
     def rescore_topk(self, terms, idfs, avgdl, k, window, p_terms,
                      p_idf, p_slop, query_weight, rescore_weight,
                      filters=None, n_required=0):
@@ -2166,27 +2013,9 @@ class ShardSearcher:
         present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
         if not present or (n_required and n_required > len(present)):
             return empty
-        acc = np.zeros(len(self.docids), dtype=np.float64)
-        hits = (
-            np.zeros(len(self.docids), dtype=np.int32) if n_required else None
-        )
-        for t, t_idf in present:
-            ids, tfs = self.decoded(self.lookup(t))
-            acc[ids] += contribution(
-                t_idf, tfs.astype(np.float64), self.dls[ids], avgdl,
-                cfg.k1, cfg.b,
-            )
-            if hits is not None:
-                hits[ids] += 1
-        if hits is not None:
-            acc[hits < n_required] = 0.0
-        mask = self.filter_mask(filters)
-        if mask is not None:
-            acc[~mask] = 0.0
-        nz = np.flatnonzero(acc)
+        nz, scores = self._taat_all(present, avgdl, filters, n_required)
         if not len(nz):
             return empty
-        scores = acc[nz]
         docids = self.docids[nz]
         order = np.lexsort((docids, -scores))
         win, rest = order[:window], order[window:]
@@ -2227,7 +2056,6 @@ class ShardSearcher:
         shard's k best groups, at least k other groups beat its best
         hit here, and each of those has a global best at least that
         good — so it cannot reach the global top-k either."""
-        cfg = self.cfg
         col = self.attrs.get(attr)
         if col is None:
             raise KeyError(f"attribute {attr!r} not stored in this index")
@@ -2235,27 +2063,9 @@ class ShardSearcher:
         present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
         if not present or (n_required and n_required > len(present)):
             return empty
-        acc = np.zeros(len(self.docids), dtype=np.float64)
-        hits = (
-            np.zeros(len(self.docids), dtype=np.int32) if n_required else None
-        )
-        for t, t_idf in present:
-            ids, tfs = self.decoded(self.lookup(t))
-            acc[ids] += contribution(
-                t_idf, tfs.astype(np.float64), self.dls[ids], avgdl,
-                cfg.k1, cfg.b,
-            )
-            if hits is not None:
-                hits[ids] += 1
-        if hits is not None:
-            acc[hits < n_required] = 0.0
-        mask = self.filter_mask(filters)
-        if mask is not None:
-            acc[~mask] = 0.0
-        nz = np.flatnonzero(acc)
+        nz, scores = self._taat_all(present, avgdl, filters, n_required)
         if not len(nz):
             return empty
-        scores = acc[nz]
         docids = self.docids[nz]
         groups = col[nz].astype(str)
         order = np.lexsort((docids, -scores))
@@ -2277,7 +2087,6 @@ class ShardSearcher:
         group's global top-``per_k`` is necessarily in that group's
         shard-local top-``per_k``; the driver just re-selects per group
         over the concatenated candidates (≤ shards × per_k per group)."""
-        cfg = self.cfg
         col = self.attrs.get(attr)
         if col is None:
             raise KeyError(f"attribute {attr!r} not stored in this index")
@@ -2285,28 +2094,11 @@ class ShardSearcher:
         present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
         if not present or (n_required and n_required > len(present)):
             return empty
-        acc = np.zeros(len(self.docids), dtype=np.float64)
-        hits = (
-            np.zeros(len(self.docids), dtype=np.int32) if n_required else None
-        )
-        for t, t_idf in present:
-            ids, tfs = self.decoded(self.lookup(t))
-            acc[ids] += contribution(
-                t_idf, tfs.astype(np.float64), self.dls[ids], avgdl,
-                cfg.k1, cfg.b,
-            )
-            if hits is not None:
-                hits[ids] += 1
-        if hits is not None:
-            acc[hits < n_required] = 0.0
-        mask = self.filter_mask(filters)
-        if mask is not None:
-            acc[~mask] = 0.0
-        nz = np.flatnonzero(acc)
+        nz, scores = self._taat_all(present, avgdl, filters, n_required)
         if not len(nz):
             return empty
         return _per_group_topk(
-            self.docids[nz], acc[nz], nz_groups=col[nz].astype(str),
+            self.docids[nz], scores, nz_groups=col[nz].astype(str),
             per_k=per_k,
         )
 
@@ -2516,42 +2308,6 @@ class ShardSearcher:
         scores = (
             bs + tie_breaker * (sub.sum(axis=0) - bs) if tie_breaker else bs
         )
-        docids = self.docids[nz]
-        order = np.lexsort((docids, -scores))[:k]
-        return docids[order], scores[order]
-
-    def rank_feature_topk(self, terms, idfs, avgdl, k,
-                          function="saturation", pivot=None, boost=1.0,
-                          scale=1.0, exponent=1.0, filters=None,
-                          n_required=0):
-        """ES bool(match should rank_feature) over the stored BM25 doc
-        length as the rank feature, shard phase: docs matching the text
-        query score BM25 + boost × f(dl), with f one of the three ES
-        ``rank_feature`` functions — ``saturation`` dl/(dl+pivot),
-        ``log`` ln(scale·dl + 1), ``sigmoid`` dl^e/(dl^e + pivot^e).
-        The feature reads the resident doc-length column — no extra
-        storage, no decode."""
-        empty = (np.zeros(0, np.int64), np.zeros(0, np.float64))
-        if function in ("saturation", "sigmoid") and pivot is None:
-            raise ValueError(f"{function} needs an explicit pivot")
-        if function not in ("saturation", "log", "sigmoid"):
-            raise ValueError(f"unknown rank_feature function {function!r}")
-        present = [(t, f) for t, f in zip(terms, idfs) if self.lookup(t) >= 0]
-        if not present or (n_required and n_required > len(present)):
-            return empty
-        nz, scores = self._taat_all(present, avgdl, filters, n_required)
-        if not len(nz):
-            return empty
-        dl = self.dls[nz]
-        if function == "saturation":
-            feat = dl / (dl + float(pivot))
-        elif function == "log":
-            feat = np.log(float(scale) * dl + 1.0)
-        else:
-            feat = dl ** float(exponent) / (
-                dl ** float(exponent) + float(pivot) ** float(exponent)
-            )
-        scores = scores + float(boost) * feat
         docids = self.docids[nz]
         order = np.lexsort((docids, -scores))[:k]
         return docids[order], scores[order]
@@ -2795,8 +2551,8 @@ class ShardSearcher:
 
     def _topk_and_skip(self, present, avgdl, k, mask=None):
         """Conjunctive (operator=and) exact top-k via VECTORIZED
-        block-skip intersection — the numpy replacement for BMW's
-        per-posting Python cursors on the rare-term-conjunction shape:
+        block-skip intersection — the numpy form of block-max WAND's
+        per-posting cursors on the rare-term-conjunction shape:
 
         1. seed = full decode of the LOCALLY rarest term (bounds the
            candidate set);
@@ -2894,8 +2650,7 @@ class ShardSearcher:
         the block-max METADATA alone (no posting decode, the blockmax
         byte string is one 16-byte row per block), cached per searcher.
         The 1e-12 inflation keeps float summation-order noise from
-        ever pruning a true candidate (same guard as the WAND
-        cursors)."""
+        ever pruning a true candidate."""
         c = self._ub_norm_cache.get(slot)
         if c is not None and c[0] == avgdl:
             return c[1]
@@ -2980,177 +2735,6 @@ class ShardSearcher:
         docids = self.docids[cand]
         srt = np.lexsort((docids, -acc))[:k]
         return docids[srt], acc[srt]
-
-    def _topk_bmw(self, present, avgdl, k, mask=None, n_required=0):
-        cfg = self.cfg
-        cursors = [
-            _Cursor(t, self.posting_list(self.lookup(t)), t_idf, avgdl, cfg,
-                    self.dls)
-            for t, t_idf in present
-        ]
-        # Min-heap of (score, -docid): root is the eviction candidate
-        # (lowest score; among equals, the LARGEST docid — later docs
-        # lose ties, matching (score DESC, docid ASC)).
-        heap: list[tuple[float, int]] = []
-
-        while True:
-            cursors.sort(key=lambda c: c.cur)
-            theta = heap[0][0] if len(heap) >= k else -np.inf
-            # Pivot: first prefix whose term-UB sum can beat theta.
-            acc = 0.0
-            pivot = -1
-            for i, c in enumerate(cursors):
-                if c.cur == _INF:
-                    break
-                acc += c.ub
-                if acc > theta:
-                    pivot = i
-                    break
-            if pivot < 0:
-                break
-            pivot_doc = cursors[pivot].cur
-            # Extend the pivot over every cursor parked at pivot_doc:
-            # their contributions belong to pivot_doc's score, so the
-            # block-max skip below must account for them (otherwise a
-            # winning doc can be skipped un-scored).
-            while pivot + 1 < len(cursors) and cursors[pivot + 1].cur == pivot_doc:
-                pivot += 1
-
-            # Block-max refinement: shallow block lookups at pivot_doc.
-            block_sum = 0.0
-            min_boundary = _INF
-            for c in cursors[: pivot + 1]:
-                ub_b, last = c.block_ub(pivot_doc)
-                block_sum += ub_b
-                min_boundary = min(min_boundary, last)
-            if block_sum <= theta:
-                # No doc up to min_boundary can beat theta: skip past it
-                # (but never past the next cursor's current doc).
-                target = min_boundary + 1
-                if pivot + 1 < len(cursors) and cursors[pivot + 1].cur != _INF:
-                    target = min(target, cursors[pivot + 1].cur)
-                target = max(target, pivot_doc + 1)
-                for c in cursors[: pivot + 1]:
-                    if c.cur < target:
-                        c.next_geq(target)
-                continue
-
-            if cursors[0].cur == pivot_doc:
-                matching = sorted(
-                    (c for c in cursors if c.cur == pivot_doc), key=lambda c: c.term
-                )
-                if (mask is None or mask[pivot_doc]) and (
-                    len(matching) >= n_required
-                ):
-                    score = 0.0
-                    for c in matching:  # sorted-term order → bit-identical sums
-                        score += c.score_current()
-                    if len(heap) < k:
-                        heapq.heappush(heap, (score, -pivot_doc))
-                    elif score > heap[0][0]:
-                        heapq.heapreplace(heap, (score, -pivot_doc))
-                for c in matching:
-                    c.advance()
-            else:
-                # Advance the leading cursors up to the pivot document.
-                for c in cursors[:pivot]:
-                    if c.cur < pivot_doc:
-                        c.next_geq(pivot_doc)
-
-        out = sorted(((s, -nd) for s, nd in heap), key=lambda x: (-x[0], x[1]))
-        ords = np.asarray([d for _, d in out], dtype=np.int64)
-        scores = np.asarray([s for s, _ in out], dtype=np.float64)
-        return self.docids[ords] if len(ords) else ords, scores
-
-
-class _Cursor:
-    """Posting-list iterator with block-level skipping (decode-lazy)."""
-
-    __slots__ = ("term", "pl", "idf", "avgdl", "k1", "b", "ub", "bi", "pos",
-                 "cur", "_ids", "_tfs", "_dls_arr")
-
-    def __init__(self, term: str, pl: PostingList, t_idf: float, avgdl: float,
-                 cfg: IndexConfig, dls_arr: np.ndarray):
-        self.term = term
-        self.pl = pl
-        self.idf = t_idf
-        self.avgdl = avgdl
-        self.k1, self.b = cfg.k1, cfg.b
-        self._dls_arr = dls_arr
-        # Term-level upper bound: max over blocks of the block bound,
-        # inflated by 1 ulp-ish margin so float summation-order noise can
-        # never prune a true candidate (exactness guard).
-        bm = pl.bm
-        bounds = t_idf * tf_norm(
-            bm["max_tf"].astype(np.float64), bm["min_dl"].astype(np.float64),
-            avgdl, self.k1, self.b,
-        )
-        self.ub = float(bounds.max()) * (1.0 + 1e-12)
-        self.bi = -1
-        self.pos = 0
-        self.cur = -1
-        self._ids = self._tfs = None
-        self._load_block(0)
-
-    def _load_block(self, bi: int) -> None:
-        if bi >= self.pl.n_blocks:
-            self.cur = _INF
-            return
-        self.bi = bi
-        self._ids, self._tfs = self.pl.decode_block(bi)
-        self.pos = 0
-        self.cur = int(self._ids[0])
-
-    def advance(self) -> None:
-        self.pos += 1
-        if self.pos < len(self._ids):
-            self.cur = int(self._ids[self.pos])
-        else:
-            self._load_block(self.bi + 1)
-
-    def next_geq(self, target: int) -> None:
-        if self.cur >= target:
-            return
-        last = self.pl.bm["last_id"]
-        if last[self.bi] < target:
-            bi = int(np.searchsorted(last, target, side="left"))
-            if bi >= self.pl.n_blocks:
-                self.cur = _INF
-                return
-            self._load_block(bi)
-        self.pos = int(np.searchsorted(self._ids, target, side="left"))
-        self.cur = int(self._ids[self.pos])
-
-    def block_ub(self, target: int) -> tuple[float, int]:
-        """(upper bound, last_docid) of the block containing ``target``
-        for this cursor — a shallow lookup, no decode."""
-        if self.cur == _INF:
-            return 0.0, _INF
-        last = self.pl.bm["last_id"]
-        bi = self.bi if last[self.bi] >= target else int(
-            np.searchsorted(last, target, side="left")
-        )
-        if bi >= self.pl.n_blocks:
-            return 0.0, _INF
-        row = self.pl.bm[bi]
-        ub = float(
-            self.idf
-            * tf_norm(float(row["max_tf"]), float(row["min_dl"]), self.avgdl,
-                      self.k1, self.b)
-        ) * (1.0 + 1e-12)
-        return ub, int(row["last_id"])
-
-    def score_current(self) -> float:
-        return float(
-            contribution(
-                self.idf,
-                np.float64(self._tfs[self.pos]),
-                np.float64(self._dls_arr[self._ids[self.pos]]),
-                self.avgdl,
-                self.k1,
-                self.b,
-            )
-        )
 
 
 def _levenshtein_all(query: str, cands: np.ndarray,
@@ -3912,7 +3496,8 @@ class QueryEngine:
     multi-node serving shape). Default is in-process shard searchers,
     which is faster single-node (no RPC per query). Either way every
     per-shard call goes through :meth:`_scatter`, the one dispatch
-    point, and every merge runs here in the driver.
+    point, and every merge runs here in the driver. Each shard picks
+    its own scorer (:meth:`ShardSearcher.topk`).
 
     In-process engines admit one call at a time per process: every
     public method holds one process-wide reentrant lock, across all
@@ -3934,11 +3519,9 @@ class QueryEngine:
     def __init__(
         self,
         index: str | IndexReader,
-        algo: str = "auto",
         use_actors: bool = False,
     ):
         self.reader = index if isinstance(index, IndexReader) else IndexReader(index)
-        self.algo = algo
         self.use_actors = use_actors
         self._admission = admission(use_actors)
         self._df_cache: dict[str, int] = {}
@@ -4085,9 +3668,8 @@ class QueryEngine:
                 lterms = [t for t, _ in live]
                 idfs = [idf(r.n_docs, d) for _, d in live]
                 depth = k if search_after is not None else offset + k
-                algo = "taat" if search_after is not None else self.algo
                 parts = self._scatter(
-                    "topk", lterms, idfs, r.avgdl, depth, algo, filters,
+                    "topk", lterms, idfs, r.avgdl, depth, filters,
                     n_required, search_after,
                 )
                 docids, scores = _merge_shard_topk(parts, depth)
@@ -5072,6 +4654,49 @@ class QueryEngine:
             return empty
         parts = self._scatter("dsl_topk", tree, r.avgdl, k, filters)
         docids, scores = _merge_shard_topk(parts, k)
+        return self._result_table(docids, scores)
+
+    def _match_child(self, query: str, mode: str) -> dict | None:
+        """The DSL tree of a plain ``query`` under ``mode``: one
+        ``match`` leaf of the live terms for "or", a ``bool`` of one
+        ``must`` leaf per term for "and". Either way scores sum in
+        sorted-term order, so they equal :meth:`search`'s. → None when
+        nothing can match (no live term, or a dead term under "and")."""
+        if mode not in ("or", "and"):
+            raise ValueError(f"unknown mode {mode!r}")
+        r = self.reader
+        terms = self._qt(query)
+        if not terms or not r.n_docs:
+            return None
+        dfs = self._global_dfs(terms)
+        live = [(t, idf(r.n_docs, int(d)))
+                for t, d in zip(terms, dfs) if d > 0]
+        if not live or (mode == "and" and len(live) < len(terms)):
+            return None
+        if mode == "or":
+            return {"op": "match", "terms": live}
+        return {"op": "bool", "must": [{"op": "match", "terms": [p]}
+                                       for p in live],
+                "should": [], "must_not": [], "msm": 0, "filter": None}
+
+    def _fscore_search(self, query: str, mode: str, funcs: list,
+                       boost_mode: str, k: int, filters: dict | None):
+        """``query`` (see :meth:`_match_child`) under one DSL ``fscore``
+        node whose ``funcs`` join its score per ``boost_mode`` — the
+        executor of the score-modifier searches. Each shard ranks on the
+        joined score, which keeps the merge exact: a modifier can lift a
+        doc above a higher-BM25 one, so relevance-first pruning would be
+        wrong, and every doc lives in exactly one shard."""
+        child = self._match_child(query, mode)
+        docids = np.zeros(0, dtype=np.int64)
+        scores = np.zeros(0, dtype=np.float64)
+        if child is not None:
+            tree = {"op": "fscore", "child": child, "funcs": funcs,
+                    "score_mode": "multiply", "boost_mode": boost_mode,
+                    "max_boost": None}
+            parts = self._scatter("dsl_topk", tree, self.reader.avgdl, k,
+                                  filters)
+            docids, scores = _merge_shard_topk(parts, k)
         return self._result_table(docids, scores)
 
     def search_template(self, template: str, params: dict | None = None,
@@ -6127,26 +5752,17 @@ class QueryEngine:
         ``log`` ln(scale·dl + 1) or ``sigmoid``
         dl^e/(dl^e + pivot^e) — the three ES rank_feature functions.
         The feature is served from the resident doc-length column."""
-        if mode not in ("or", "and"):
-            raise ValueError(f"unknown mode {mode!r}")
-        r = self.reader
-        terms = self._qt(query)
-        docids = np.zeros(0, dtype=np.int64)
-        scores = np.zeros(0, dtype=np.float64)
-        if terms and r.n_docs:
-            dfs = self._global_dfs(terms)
-            live = [(t, int(d)) for t, d in zip(terms, dfs) if d > 0]
-            dead = len(live) < len(terms)
-            if live and not (mode == "and" and dead):
-                n_required = len(live) if mode == "and" else 0
-                lterms = [t for t, _ in live]
-                idfs = [idf(r.n_docs, d) for _, d in live]
-                parts = self._scatter(
-                    "rank_feature_topk", lterms, idfs, r.avgdl, k, function,
-                    pivot, boost, scale, exponent, filters, n_required,
-                )
-                docids, scores = _merge_shard_topk(parts, k)
-        return self._result_table(docids, scores)
+        if function in ("saturation", "sigmoid") and pivot is None:
+            raise ValueError(f"{function} needs an explicit pivot")
+        if function not in ("saturation", "log", "sigmoid"):
+            raise ValueError(f"unknown rank_feature function {function!r}")
+        feature = {"function": function,
+                   "pivot": None if pivot is None else float(pivot),
+                   "scale": float(scale), "exponent": float(exponent)}
+        return self._fscore_search(
+            query, mode, [{"weight": float(boost), "dl_feature": feature}],
+            "sum", k, filters,
+        )
 
     def search_terms_set(self, query: str, k: int = 10,
                          filters: dict | None = None):
@@ -6389,27 +6005,11 @@ class QueryEngine:
         with docs matching the negative query multiplied by
         ``negative_boost`` (demoted in place, never excluded — the
         soft counterpart of bool must_not). Output matches search()."""
-        if mode not in ("or", "and"):
-            raise ValueError(f"unknown mode {mode!r}")
-        r = self.reader
-        terms = self._qt(positive)
-        neg_terms = self._qt(negative)
-        bd = np.zeros(0, dtype=np.int64)
-        bs = np.zeros(0, dtype=np.float64)
-        if terms and r.n_docs:
-            dfs = self._global_dfs(terms)
-            live = [(t, int(d)) for t, d in zip(terms, dfs) if d > 0]
-            dead = len(live) < len(terms)
-            if live and not (mode == "and" and dead):
-                n_required = len(live) if mode == "and" else 0
-                lterms = [t for t, _ in live]
-                idfs = [idf(r.n_docs, d) for _, d in live]
-                parts = self._scatter(
-                    "boosting_topk", lterms, idfs, r.avgdl, k, neg_terms,
-                    negative_boost, filters, n_required,
-                )
-                bd, bs = _merge_shard_topk(parts, k)
-        return self._result_table(bd, bs)
+        neg = self._match_child(negative, "or")
+        funcs = ([] if neg is None
+                 else [{"weight": float(negative_boost), "filter": neg}])
+        return self._fscore_search(positive, mode, funcs, "multiply", k,
+                                   filters)
 
     def search_rescore(self, query: str, rescore_query: str,
                        k: int = 10, window_size: int = 100,
@@ -7267,21 +6867,10 @@ class QueryEngine:
         interpolation (documented deviation)."""
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        r = self.reader
-        terms = self._qt(query)
-        docids = np.zeros(0, dtype=np.int64)
-        scores = np.zeros(0, dtype=np.float64)
-        if terms and r.n_docs:
-            dfs = self._global_dfs(terms)
-            live = [t for t, d in zip(terms, dfs) if int(d) > 0]
-            dead = len(live) < len(terms)
-            if live and not (mode == "and" and dead):
-                n_required = len(live) if mode == "and" else 0
-                parts = self._scatter(
-                    "random_topk", live, k, seed, filters, n_required,
-                )
-                docids, scores = _merge_shard_topk(parts, k)
-        return self._result_table(docids, scores)
+        return self._fscore_search(
+            query, mode, [{"weight": 1.0, "random": int(seed)}], "replace",
+            k, filters,
+        )
 
     def search_distance_feature(self, query: str, k: int = 10,
                                 attr: str = "ts", origin=None,
@@ -7297,26 +6886,12 @@ class QueryEngine:
         ``pivot`` µs ints or "<N>h"/"<N>d" strings."""
         if origin is None:
             raise ValueError("origin is required (ES has no default)")
-        origin_us = ShardSearcher._as_us(origin)
-        pivot_us = float(_parse_span_us(pivot))
-        r = self.reader
-        terms = self._qt(query)
-        docids = np.zeros(0, dtype=np.int64)
-        scores = np.zeros(0, dtype=np.float64)
-        if terms and r.n_docs:
-            dfs = self._global_dfs(terms)
-            live = [(t, int(d)) for t, d in zip(terms, dfs) if d > 0]
-            dead = len(live) < len(terms)
-            if live and not (mode == "and" and dead):
-                n_required = len(live) if mode == "and" else 0
-                lterms = [t for t, _ in live]
-                idfs = [idf(r.n_docs, d) for _, d in live]
-                parts = self._scatter(
-                    "distfeat_topk", lterms, idfs, r.avgdl, k, attr, origin_us,
-                    pivot_us, boost, filters, n_required,
-                )
-                docids, scores = _merge_shard_topk(parts, k)
-        return self._result_table(docids, scores)
+        recency = {"attr": attr, "origin": ShardSearcher._as_us(origin),
+                   "pivot": float(_parse_span_us(pivot))}
+        return self._fscore_search(
+            query, mode, [{"weight": float(boost), "recency": recency}],
+            "sum", k, filters,
+        )
 
     def search_decay(self, query: str, k: int = 10, attr: str = "ts",
                      origin=None, scale="24h", decay: float = 0.5,
@@ -7332,39 +6907,14 @@ class QueryEngine:
         accepts µs ints or "<N>h"/"<N>d" strings.
 
         → pyarrow.Table (rank, docid, conv_id, turn_idx, score)."""
-        import pyarrow as pa
-
         if origin is None:
             raise ValueError("origin is required (ES has no default)")
-        origin_us = ShardSearcher._as_us(origin)
-        scale_us = float(_parse_span_us(scale))
-        r = self.reader
-        terms = self._qt(query)
-        docids = np.zeros(0, dtype=np.int64)
-        scores = np.zeros(0, dtype=np.float64)
-        if terms and r.n_docs:
-            dfs = self._global_dfs(terms)
-            live = [(t, int(d)) for t, d in zip(terms, dfs) if d > 0]
-            dead = len(live) < len(terms)
-            if live and not (mode == "and" and dead):
-                n_required = len(live) if mode == "and" else 0
-                lterms = [t for t, _ in live]
-                idfs = [idf(r.n_docs, d) for _, d in live]
-                parts = self._scatter(
-                    "decay_topk", lterms, idfs, r.avgdl, k, attr, origin_us,
-                    scale_us, decay, filters, n_required,
-                )
-                docids, scores = _merge_shard_topk(parts, k)
-        conv, turn = r.keys_of(docids)
-        return pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(docids) + 1,
-                                           dtype=np.int32)),
-                "docid": pa.array(docids, type=pa.int64()),
-                "conv_id": pa.array(conv, type=pa.string()),
-                "turn_idx": pa.array(turn, type=pa.int32()),
-                "score": pa.array(scores, type=pa.float64()),
-            }
+        gauss = {"attr": attr, "origin": ShardSearcher._as_us(origin),
+                 "scale": float(_parse_span_us(scale)),
+                 "decay": float(decay)}
+        return self._fscore_search(
+            query, mode, [{"weight": 1.0, "gauss": gauss}], "multiply", k,
+            filters,
         )
 
     def delete_by_query(self, query: str | None = None,
@@ -7650,7 +7200,7 @@ class QueryEngine:
             self._pit_cache.move_to_end(key)
             return self._pit_cache[key]
         view = QueryEngine(
-            IndexReader(self.reader.index_dir, pinned=key), algo=self.algo
+            IndexReader(self.reader.index_dir, pinned=key)
         )
         self._pit_cache[key] = view
         while len(self._pit_cache) > 4:
@@ -7700,7 +7250,7 @@ class QueryEngine:
                 per_query.append(
                     [
                         a.call.remote("topk", lterms, idfs, r.avgdl, k,
-                                      self.algo, filters, n_required)
+                                      filters, n_required)
                         for a in self._actors
                     ]
                 )

@@ -105,8 +105,7 @@ class MultiIndexEngine:
             for name, e in zip(self.names, self.engines):
                 bmul = float((boosts or {}).get(name, 1.0))
                 parts = e._scatter("topk", lterms, idfs, self.avgdl, k,
-                                   "taat", filters=filters,
-                                   n_required=n_required)
+                                   filters=filters, n_required=n_required)
                 for docids, scores in parts:
                     conv, turn = e.reader.keys_of(docids)
                     rows.extend(zip(scores * bmul, conv,

@@ -19,13 +19,52 @@ from excelastic_ray.query.engine import IndexReader, QueryEngine
 
 
 @pytest.fixture(scope="module")
-def engines(tiny_index):
+def engine(tiny_index):
     d, _ = tiny_index
-    reader = IndexReader(d)
-    return {
-        "bmw": QueryEngine(reader, algo="bmw"),
-        "taat": QueryEngine(reader, algo="taat"),
-    }
+    return QueryEngine(IndexReader(d))
+
+
+def _frequency_ranked(tiny_table) -> list[str]:
+    from collections import Counter
+
+    from excelastic_ray.analysis import tokenize
+
+    counts = Counter()
+    for t in tiny_table["text"].to_pylist():
+        counts.update(tokenize(t))
+    return [t for t, _ in counts.most_common()]
+
+
+def _live_terms(eng, q):
+    """(term, global idf) for the query's terms with df > 0, sorted —
+    what :meth:`QueryEngine.search` hands every shard's ``topk``."""
+    from excelastic_ray.query.bm25 import idf
+
+    r = eng.reader
+    terms = eng._qt(q)
+    dfs = eng._global_dfs(terms)
+    return [(t, idf(r.n_docs, int(d))) for t, d in zip(terms, dfs) if d > 0]
+
+
+def _assert_skip_equals_taat(eng, q, k, mode, filters=None):
+    """On every shard searcher, the skip scorer for ``mode`` returns
+    exactly what ``_topk_taat`` returns for the same shard query."""
+    r = eng.reader
+    live = _live_terms(eng, q)
+    for s in range(r.num_shards):
+        ss = r.searcher(s)
+        present = [(t, f) for t, f in live if ss.lookup(t) >= 0]
+        if not present or (mode == "and" and len(present) < len(live)):
+            continue  # topk answers these before any scorer runs
+        mask = ss.filter_mask(filters)
+        if mode == "and":
+            a = ss._topk_and_skip(present, r.avgdl, k, mask)
+            b = ss._topk_taat(present, r.avgdl, k, mask, len(present))
+        else:
+            a = ss._topk_or_skip(present, r.avgdl, k, mask)
+            b = ss._topk_taat(present, r.avgdl, k, mask)
+        assert np.array_equal(a[0], b[0]), (q, k, s)
+        assert np.array_equal(a[1], b[1]), (q, k, s)
 
 
 def test_manifest_counts(tiny_index, tiny_table, tiny_oracle):
@@ -38,61 +77,19 @@ def test_manifest_counts(tiny_index, tiny_table, tiny_oracle):
 
 
 @pytest.mark.parametrize("k", [1, 10, 100])
-def test_rank_identical_vs_oracle(engines, tiny_oracle, query_set, k):
+def test_rank_identical_vs_oracle(engine, tiny_oracle, query_set, k):
     for q in query_set:
         expect = tiny_oracle.search(q, k)
-        for algo, eng in engines.items():
-            got = eng.search_topk(q, k)
-            assert got == expect, (algo, q, got[:3], expect[:3])
+        got = engine.search_topk(q, k)
+        assert got == expect, (q, got[:3], expect[:3])
 
 
-def test_bmw_equals_taat_everywhere(engines, query_set):
-    for q in query_set:
-        assert engines["bmw"].search_topk(q, 25) == engines["taat"].search_topk(q, 25)
-
-
-def test_bmw_equals_taat_randomized(engines, tiny_table):
-    """Stress the WAND pruning paths: random multi-term queries mixing
-    frequency classes at small k (k=1 exposed the shared-pivot-doc skip
-    bug; keep it pinned)."""
-    from collections import Counter
-
-    import numpy as np
-
-    from excelastic_ray.analysis import tokenize
-
-    counts = Counter()
-    for t in tiny_table["text"].to_pylist():
-        counts.update(tokenize(t))
-    vocab = [t for t, _ in counts.most_common()]
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n_terms = int(rng.integers(1, 6))
-        picks = [vocab[int(rng.integers(0, len(vocab)))] for _ in range(n_terms)]
-        q = " ".join(picks)
-        for k in (1, 3, 17):
-            assert (
-                engines["bmw"].search_topk(q, k) == engines["taat"].search_topk(q, k)
-            ), (q, k)
-
-
-def test_and_skip_equals_taat_randomized(engines, tiny_table, tiny_oracle):
+def test_and_skip_equals_taat_randomized(engine, tiny_table, tiny_oracle):
     """The vectorized block-skip conjunction scorer must be
     bit-identical to TAAT (and the oracle) on random AND queries mixing
     frequency classes — the rare+hot shape it is gated in for, plus
     degenerate all-rare / all-hot mixes, with and without filters."""
-    from collections import Counter
-
-    import numpy as np
-
-    from excelastic_ray.analysis import tokenize
-
-    eng_skip = QueryEngine(engines["taat"].reader, algo="and_skip")
-    eng_taat = engines["taat"]
-    counts = Counter()
-    for t in tiny_table["text"].to_pylist():
-        counts.update(tokenize(t))
-    ranked = [t for t, _ in counts.most_common()]
+    ranked = _frequency_ranked(tiny_table)
     hot, rare = ranked[:20], ranked[-40:]
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -104,43 +101,25 @@ def test_and_skip_equals_taat_randomized(engines, tiny_table, tiny_oracle):
         )
         q = " ".join(picks)
         for k in (1, 5, 25):
-            a = eng_skip.search(q, k, mode="and")
-            b = eng_taat.search(q, k, mode="and")
-            assert a.equals(b), (q, k)
-    # explicit and_skip refuses non-conjunctive queries
-    with pytest.raises(Exception, match="conjunctive"):
-        eng_skip.search(f"{hot[0]} {rare[0]}", 10, mode="or")
+            _assert_skip_equals_taat(engine, q, k, "and")
     # filters compose identically
     q = f"{hot[0]} {rare[0]}"
-    fa = eng_skip.search(q, 10, mode="and", filters={"role": "user"})
-    fb = eng_taat.search(q, 10, mode="and", filters={"role": "user"})
-    assert fa.equals(fb)
+    _assert_skip_equals_taat(engine, q, 10, "and", filters={"role": "user"})
     # oracle anchor on a conjunctive query with survivors
-    got = eng_skip.search(q, 10, mode="and")
+    got = engine.search(q, 10, mode="and")
     exp = tiny_oracle.search(q, 10, mode="and")
     assert list(zip(got["docid"].to_pylist(),
                     got["score"].to_pylist())) == exp
 
 
-def test_or_skip_equals_taat_randomized(engines, tiny_table, tiny_oracle):
+def test_or_skip_equals_taat_randomized(engine, tiny_table, tiny_oracle):
     """The vectorized MaxScore disjunction scorer must be bit-identical
     to TAAT (and the oracle) on random OR queries mixing frequency
     classes — rare+hot (the pruning shape), all-hot / all-rare (the
     TAAT-fallback shape), single-term (degenerate fallback), with and
     without filters, at k small enough for θ0 to exist and large
     enough to force the fallback."""
-    from collections import Counter
-
-    import numpy as np
-
-    from excelastic_ray.analysis import tokenize
-
-    eng_skip = QueryEngine(engines["taat"].reader, algo="or_skip")
-    eng_taat = engines["taat"]
-    counts = Counter()
-    for t in tiny_table["text"].to_pylist():
-        counts.update(tokenize(t))
-    ranked = [t for t, _ in counts.most_common()]
+    ranked = _frequency_ranked(tiny_table)
     hot, rare = ranked[:20], ranked[-40:]
     rng = np.random.default_rng(23)
     for _ in range(40):
@@ -152,52 +131,66 @@ def test_or_skip_equals_taat_randomized(engines, tiny_table, tiny_oracle):
         )
         q = " ".join(picks)
         for k in (1, 5, 25, 500):
-            a = eng_skip.search(q, k, mode="or")
-            b = eng_taat.search(q, k, mode="or")
-            assert a.equals(b), (q, k)
-    # explicit or_skip refuses conjunctive queries
-    with pytest.raises(Exception, match="disjunctive"):
-        eng_skip.search(f"{hot[0]} {rare[0]}", 10, mode="and")
+            _assert_skip_equals_taat(engine, q, k, "or")
     # filters compose identically (θ0 must come from masked docs only)
     q = f"{hot[0]} {rare[0]}"
-    fa = eng_skip.search(q, 10, mode="or", filters={"role": "user"})
-    fb = eng_taat.search(q, 10, mode="or", filters={"role": "user"})
-    assert fa.equals(fb)
+    _assert_skip_equals_taat(engine, q, 10, "or", filters={"role": "user"})
     # oracle anchor on the pruning shape
-    got = eng_skip.search(q, 10, mode="or")
+    got = engine.search(q, 10, mode="or")
     exp = tiny_oracle.search(q, 10, mode="or")
     assert list(zip(got["docid"].to_pylist(),
                     got["score"].to_pylist())) == exp
 
 
-def test_auto_gates_and_skip_on_skew(tiny_index, tiny_table):
-    """auto picks and_skip exactly when the query is conjunctive AND
-    the shard-local dfs are skewed; results stay identical either way."""
-    from collections import Counter
-
-    from excelastic_ray.analysis import tokenize
-
-    d, _ = tiny_index
-    counts = Counter()
-    for t in tiny_table["text"].to_pylist():
-        counts.update(tokenize(t))
-    ranked = [t for t, _ in counts.most_common()]
-    q = f"{ranked[0]} {ranked[-1]}"  # hottest + rarest
-    auto = QueryEngine(d, algo="auto")
-    taat = QueryEngine(d, algo="taat")
-    assert auto.search(q, 10, mode="and").equals(
-        taat.search(q, 10, mode="and")
-    )
-    # or-mode never routes to the conjunctive scorer
-    assert auto.search(q, 10, mode="or").equals(
-        taat.search(q, 10, mode="or")
-    )
+def test_auto_gates_and_skip_on_skew(engine, tiny_table, tiny_oracle):
+    """topk picks and_skip exactly when the query is conjunctive AND
+    the shard-local dfs are skewed, or_skip when it is disjunctive,
+    skewed and the rare term carries >= k postings, TAAT otherwise and
+    always under search_after; results equal the oracle either way.
+    Swept over each shard's hottest term paired with every other term,
+    so df ratios on both sides of the skew bound are covered."""
+    r = engine.reader
+    after = (1.0, 0)
+    picked = set()
+    near_bound = [0, 0]  # df ratio in [32, 64) / [64, 128)
+    for s in range(r.num_shards):
+        ss = r.searcher(s)
+        hot = int(np.argmax(ss.df))
+        for i in range(len(ss.terms)):
+            if i == hot:
+                continue
+            present = [(ss.terms[hot], 1.0), (ss.terms[i], 1.0)]
+            lo, hi = int(ss.df[i]), int(ss.df[hot])
+            skewed = lo <= 65536 and lo * 64 <= hi
+            if lo * 32 <= hi < lo * 128:
+                near_bound[skewed] += 1
+            assert ss._pick_scorer(present, 10, 2, None) == (
+                "and_skip" if skewed else "taat")
+            assert ss._pick_scorer(present, 10, 2, after) == "taat"
+            assert ss._pick_scorer(present, 10, 1, None) == "taat"
+            assert ss._pick_scorer(present[:1], 10, 1, None) == "taat"
+            for k in (1, 10):
+                pick = ss._pick_scorer(present, k, 0, None)
+                assert pick == (
+                    "or_skip" if skewed and k <= lo else "taat")
+                assert ss._pick_scorer(present, k, 0, after) == "taat"
+                picked.add(pick)
+            picked.add(ss._pick_scorer(present, 10, 2, None))
+    # the tiny corpus exercises every scorer and both sides of the bound
+    assert picked == {"and_skip", "or_skip", "taat"}
+    assert min(near_bound) > 0
+    ranked = _frequency_ranked(tiny_table)
+    hot_rare = f"{ranked[0]} {ranked[-1]}"  # hottest + rarest
+    for mode in ("and", "or"):
+        t = engine.search(hot_rare, 10, mode=mode)
+        assert list(zip(t["docid"].to_pylist(), t["score"].to_pylist())) \
+            == tiny_oracle.search(hot_rare, 10, mode=mode)
 
 
 def test_actor_mode_matches_local(tiny_index, query_set):
     d, _ = tiny_index
-    eng = QueryEngine(d, algo="bmw", use_actors=True)
-    local = QueryEngine(d, algo="bmw")
+    eng = QueryEngine(d, use_actors=True)
+    local = QueryEngine(d)
     try:
         for q in query_set[:5]:
             assert eng.search_topk(q, 10) == local.search_topk(q, 10)
@@ -205,8 +198,8 @@ def test_actor_mode_matches_local(tiny_index, query_set):
         eng.close()
 
 
-def test_search_result_keys(engines, tiny_oracle, query_set):
-    t = engines["bmw"].search(query_set[5], 10)
+def test_search_result_keys(engine, tiny_oracle, query_set):
+    t = engine.search(query_set[5], 10)
     assert t.column_names == ["rank", "docid", "conv_id", "turn_idx", "score"]
     for docid, conv, turn in zip(
         t["docid"].to_pylist(), t["conv_id"].to_pylist(), t["turn_idx"].to_pylist()
@@ -438,13 +431,9 @@ def test_filtered_search_matches_clientside_filter(tiny_index, tiny_table):
         got = eng.search(q, 10_000, filters={"role": "assistant"}).to_pandas()
         assert list(got["docid"]) == list(expect["docid"])
         assert list(got["score"]) == list(expect["score"])
-        # list-valued filter and both algos agree
+        # list-valued filter agrees
         got2 = eng.search(q, 10_000, filters={"role": ["assistant"]}).to_pandas()
         assert got2["docid"].tolist() == got["docid"].tolist()
-        for algo in ("taat", "bmw"):
-            e2 = QueryEngine(d, algo=algo)
-            g = e2.search(q, 10_000, filters={"role": "assistant"}).to_pandas()
-            assert g["docid"].tolist() == got["docid"].tolist()
 
 
 def test_filtered_search_unknown_attr_raises(tiny_index):
@@ -454,21 +443,18 @@ def test_filtered_search_unknown_attr_raises(tiny_index):
         eng.search("the", 5, filters={"nosuch": "x"})
 
 
-def test_and_mode_matches_oracle(engines, tiny_index, tiny_oracle, query_set):
+def test_and_mode_matches_oracle(engine, tiny_oracle, query_set):
     """ES operator=and parity: every query term must match; scores are
     identical to OR mode; rank identity vs the oracle holds."""
-    d, _ = tiny_index
-    for algo in ("taat", "bmw", "auto"):
-        eng = QueryEngine(d, algo=algo)
-        for q in query_set:
-            expect = tiny_oracle.search(q, 25, mode="and")
-            t = eng.search(q, 25, mode="and")
-            got = list(zip(t["docid"].to_pylist(), t["score"].to_pylist()))
-            assert got == expect, (algo, q)
-            # AND results are a subset of OR results with equal scores
-            or_scores = dict(tiny_oracle.search(q, 100_000))
-            for docid, score in got:
-                assert or_scores[docid] == score
+    for q in query_set:
+        expect = tiny_oracle.search(q, 25, mode="and")
+        t = engine.search(q, 25, mode="and")
+        got = list(zip(t["docid"].to_pylist(), t["score"].to_pylist()))
+        assert got == expect, q
+        # AND results are a subset of OR results with equal scores
+        or_scores = dict(tiny_oracle.search(q, 100_000))
+        for docid, score in got:
+            assert or_scores[docid] == score
 
 
 def test_and_mode_absent_term_empty(tiny_index):
@@ -918,18 +904,16 @@ def test_range_filter_and_date_histogram(ray_session, tiny_index, tiny_table):
 def test_pfor_codec_end_to_end(ray_session, tmp_path, tiny_corpus_dir,
                                tiny_config, tiny_oracle, query_set):
     """Full build + query with the true PForDelta codec: rank-identical
-    to the oracle (both scorers), phrase queries still work (positions
+    to the oracle, phrase queries still work (positions
     are varint regardless of the postings codec)."""
     from dataclasses import replace
 
     d = str(tmp_path / "idx_pfor")
     cfg = replace(tiny_config, codec="pfor")
     build_index(tiny_corpus_dir, d, cfg, clear=True)
-    for algo in ("taat", "bmw"):
-        eng = QueryEngine(d, algo=algo)
-        for q in query_set[:6]:
-            assert eng.search_topk(q, 10) == tiny_oracle.search(q, 10), (algo, q)
     eng = QueryEngine(d)
+    for q in query_set[:6]:
+        assert eng.search_topk(q, 10) == tiny_oracle.search(q, 10), q
     t = eng.search_phrase("w00005", 5)
     assert t.num_rows > 0
 
@@ -1505,7 +1489,7 @@ def test_search_dsl_filter_bounded_should(tiny_index, tiny_table):
                                  "minimum_should_match": 0}})
 
 
-def test_search_pinned(engines, tiny_table):
+def test_search_pinned(engine, tiny_table):
     """Pinned docs rank first in the given order (matching the query
     or not), organic ranking follows deduplicated; unknown pins skip
     silently (the ES semantic)."""
@@ -1513,7 +1497,7 @@ def test_search_pinned(engines, tiny_table):
 
     from excelastic_ray.analysis import tokenize
 
-    eng = engines["taat"]
+    eng = engine
     counts = Counter()
     for t in tiny_table["text"].to_pylist():
         counts.update(tokenize(t))
@@ -1545,7 +1529,7 @@ def test_search_pinned(engines, tiny_table):
     assert res["rank"].to_pylist() == list(range(1, len(got) + 1))
 
 
-def test_distance_feature(engines, tiny_table):
+def test_distance_feature(engine, tiny_table):
     """distance_feature: additive recency bonus — exactly boost/2 at
     distance pivot; ranking reorders toward the origin; actor parity."""
     from collections import Counter
@@ -1554,7 +1538,7 @@ def test_distance_feature(engines, tiny_table):
 
     from excelastic_ray.analysis import tokenize
 
-    eng = engines["taat"]
+    eng = engine
     counts = Counter()
     for t in tiny_table["text"].to_pylist():
         counts.update(tokenize(t))
@@ -1587,14 +1571,14 @@ def test_distance_feature(engines, tiny_table):
         eng.search_distance_feature(q, k=5, origin=None)
 
 
-def test_search_random(engines, tiny_table):
+def test_search_random(engine, tiny_table):
     """random_score: same match set as the query, scores in [0,1),
     deterministic per (doc, seed), different seeds reorder; validation."""
     from collections import Counter
 
     from excelastic_ray.analysis import tokenize
 
-    eng = engines["taat"]
+    eng = engine
     counts = Counter()
     for t in tiny_table["text"].to_pylist():
         counts.update(tokenize(t))

@@ -113,6 +113,17 @@ MODES = [
     ("say", lambda e: e.search_say("table ha", k=25)),
     ("collapse_inner", lambda e: e.search_collapse_inner(
         "table hash", "role", k=3, inner_hits=3)),
+    # the score modifiers under operator=and plus a filter, over terms
+    # the generated corpus holds
+    ("decay_and", lambda e: e.search_decay(
+        "w00003 the", k=25, origin="2026-01-03T00:00:00", scale="48h",
+        mode="and", filters={"role": "user"})),
+    ("distance_feature_and", lambda e: e.search_distance_feature(
+        "w00003 the", k=25, origin="2026-01-02T00:00:00", pivot="12h",
+        boost=2.0, mode="and", filters={"role": "user"})),
+    ("boosting_and", lambda e: e.search_boosting(
+        "w00003 the", "w00001", negative_boost=0.3, k=25, mode="and",
+        filters={"role": "user"})),
 ]
 
 
@@ -132,3 +143,41 @@ def test_shard_count_invariance(two_builds, name, run):
     # docid encodes (conv, turn) deterministically; every column must
     # agree bit-for-bit, scores included
     assert a.equals(b), name
+
+
+def _dsl_query(q: str, mode: str) -> dict:
+    if mode == "or":
+        return {"match": q}
+    return {"bool": {"must": [{"match": t} for t in q.split()]}}
+
+
+@pytest.mark.parametrize("mode", ["or", "and"])
+def test_score_modifiers_equal_function_score(two_builds, mode):
+    """search_random and search_boosting equal their public search_dsl
+    ``function_score`` forms bit for bit, at both shard counts."""
+    non_empty = 0
+    for e in two_builds:
+        for q in ("w00003 the", "w00001 call", "w00002 zzzq"):
+            for filters in (None, {"role": "user"}):
+                for seed in (0, 7):
+                    got = e.search_random(q, k=25, seed=seed, mode=mode,
+                                          filters=filters)
+                    want = e.search_dsl({"function_score": {
+                        "query": _dsl_query(q, mode),
+                        "functions": [{"random_score": {"seed": seed}}],
+                        "boost_mode": "replace"}}, k=25, filters=filters)
+                    assert got.equals(want), (q, mode, filters, seed)
+                    non_empty += got.num_rows > 0
+                for nb in (0.5, 0.2):
+                    got = e.search_boosting(q, "w00001 ok",
+                                            negative_boost=nb, k=25,
+                                            mode=mode, filters=filters)
+                    want = e.search_dsl({"function_score": {
+                        "query": _dsl_query(q, mode),
+                        "functions": [{"filter": {"match": "w00001 ok"},
+                                       "weight": nb}],
+                        "score_mode": "multiply",
+                        "boost_mode": "multiply"}}, k=25, filters=filters)
+                    assert got.equals(want), (q, mode, filters, nb)
+                    non_empty += got.num_rows > 0
+    assert non_empty >= 16

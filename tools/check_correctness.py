@@ -2,11 +2,17 @@
 its oracle_sql() twin over an sf dir, compare row count, schema (sorted
 column names) and an order-insensitive value hash.
 
+Every entry's line also ends in ``raw=<digest>``, an order-sensitive
+digest of the entry's output as returned (row order, column order,
+dtypes and values), so two runs are bit-identical exactly where
+``diff`` of their outputs shows nothing.
+
 Usage: python tools/check_correctness.py [sf_dir] [name ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 
@@ -48,6 +54,21 @@ def value_hash(df: pd.DataFrame) -> int:
     return int(pd.util.hash_pandas_object(df, index=False).sum())
 
 
+def raw_digest(df: pd.DataFrame) -> str:
+    """Order-sensitive digest: rows and columns in the order given."""
+    h = hashlib.sha256(
+        repr([(str(c), str(t)) for c, t in df.dtypes.items()]).encode()
+    )
+    cols = {
+        i: (s.astype(str) if s.dtype == object else s)
+        for i, (_, s) in enumerate(df.items())
+    }
+    h.update(pd.util.hash_pandas_object(
+        pd.DataFrame(cols, index=df.index), index=False
+    ).to_numpy().tobytes())
+    return h.hexdigest()[:16]
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -78,18 +99,22 @@ def main() -> int:
         if only and name not in only:
             continue
         try:
-            got = canon(to_pandas(fn(sf_dir)))
+            raw = to_pandas(fn(sf_dir))
+            digest = f"raw={raw_digest(raw)}"
+            got = canon(raw)
         except Exception as ex:  # noqa: BLE001
             print(f"ERROR  {name}: query raised {type(ex).__name__}: {ex}")
             failures += 1
             continue
         if name not in sqls:
-            print(f"rows   {name}: {len(got)} rows (no oracle; rows-only check)")
+            print(f"rows   {name}: {len(got)} rows (no oracle; rows-only "
+                  f"check) {digest}")
             continue
         try:
             exp = canon(con.sql(sqls[name]).df())
         except Exception as ex:  # noqa: BLE001
-            print(f"ERROR  {name}: oracle SQL raised {type(ex).__name__}: {ex}")
+            print(f"ERROR  {name}: oracle SQL raised {type(ex).__name__}: "
+                  f"{ex} {digest}")
             failures += 1
             continue
         problems = []
@@ -110,9 +135,10 @@ def main() -> int:
                     )
         if problems:
             failures += 1
-            print(f"FAIL   {name}: " + " | ".join(str(p) for p in problems))
+            print(f"FAIL   {name}: " + " | ".join(str(p) for p in problems)
+                  + f" {digest}")
         else:
-            print(f"match  {name}: {len(got)} rows")
+            print(f"match  {name}: {len(got)} rows {digest}")
     print("FAILURES:", failures)
     return 1 if failures else 0
 
